@@ -148,7 +148,26 @@ class Parser {
     }
   }
 
+  /// Counts one nesting level for the lifetime of a parse_object /
+  /// parse_array frame; fails once the document nests past kMaxNestingDepth.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxNestingDepth) {
+        parser_.fail("nesting deeper than " +
+                     std::to_string(kMaxNestingDepth) + " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Value parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     Value v;
     v.type_ = Value::Type::kObject;
@@ -174,6 +193,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     Value v;
     v.type_ = Value::Type::kArray;
@@ -273,6 +293,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 Value Value::parse(std::string_view text) {

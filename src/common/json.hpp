@@ -16,6 +16,7 @@
 // values; writing them via value(std::string_view) round-trips as numbers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +25,12 @@
 #include <vector>
 
 namespace dsml::json {
+
+/// Deepest array/object nesting Value::parse accepts; deeper input throws
+/// IoError. Parsing recurses once per level, so without a bound one hostile
+/// line (a serve request, a fleet message) could overflow the stack. Real
+/// documents nest a handful of levels.
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 /// A parsed JSON document node. Objects preserve key order.
 class Value {
@@ -48,7 +55,8 @@ class Value {
   const std::vector<std::pair<std::string, Value>>& fields() const;
 
   /// Parses a complete document; trailing non-whitespace is an error.
-  /// Throws IoError with position context on malformed input.
+  /// Throws IoError with position context on malformed input or nesting
+  /// deeper than kMaxNestingDepth.
   static Value parse(std::string_view text);
 
   /// Reads and parses a file; throws IoError if unreadable.

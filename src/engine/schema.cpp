@@ -1,5 +1,6 @@
 #include "engine/schema.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -153,13 +154,23 @@ data::Dataset Schema::dataset_from_rows(
         std::vector<double> values;
         values.reserve(rows.size());
         for (std::size_t r = 0; r < rows.size(); ++r) {
+          double value = 0.0;
           try {
-            values.push_back(strings::parse_double(rows[r][c]));
+            value = strings::parse_double(rows[r][c]);
           } catch (const IoError&) {
             throw InvalidArgument("row " + std::to_string(r) + ", column '" +
                                   column.name + "': expected a number, got '" +
                                   rows[r][c] + "'");
           }
+          // A NaN or infinite feature would be served as a NaN/inf
+          // "prediction" that looks like an answer; refuse it here.
+          if (!std::isfinite(value)) {
+            throw InvalidArgument("row " + std::to_string(r) + ", column '" +
+                                  column.name +
+                                  "': expected a finite number, got '" +
+                                  rows[r][c] + "'");
+          }
+          values.push_back(value);
         }
         out.add_feature(data::Column::numeric(column.name, std::move(values)));
         break;

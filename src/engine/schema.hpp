@@ -70,8 +70,9 @@ class Schema {
   data::Dataset probe_row() const;
 
   /// Builds a dataset from string cells in schema column order (rows[i][j]
-  /// is column j of row i). Numeric cells must parse as doubles, flag cells
-  /// as 0/1/true/false/yes/no, categorical cells must name a known level.
+  /// is column j of row i). Numeric cells must parse as finite doubles, flag
+  /// cells as 0/1/true/false/yes/no, categorical cells must name a known
+  /// level.
   /// Throws InvalidArgument with row/column context otherwise.
   data::Dataset dataset_from_rows(
       const std::vector<std::vector<std::string>>& rows) const;

@@ -94,8 +94,6 @@ std::string error_response(const std::exception& e) {
 ServeHandler::ServeHandler(ModelRegistry& registry, ServeOptions options)
     : registry_(registry), options_(std::move(options)) {}
 
-ServeHandler::~ServeHandler() = default;
-
 ServeSummary ServeHandler::summary() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return summary_;
@@ -144,21 +142,8 @@ std::string ServeHandler::answer(std::string_view line) {
       cells.push_back(row_cells(row_values[r], entry->schema, known_columns, r));
     }
     const data::Dataset rows = entry->schema.dataset_from_rows(cells);
-
-    InferenceSession* session = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = sessions_.find(model_name);
-      if (it == sessions_.end()) {
-        it = sessions_
-                 .emplace(model_name,
-                          std::make_unique<InferenceSession>(
-                              registry_, model_name, options_.session))
-                 .first;
-      }
-      session = it->second.get();
-    }
-    const BatchOutcome outcome = session->predict_detailed(rows);
+    const BatchOutcome outcome =
+        predict_entry(*entry, rows, options_.session);
 
     json::Writer w(/*compact=*/true);
     w.begin_object()

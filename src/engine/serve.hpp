@@ -25,15 +25,14 @@
 // speaks the identical protocol: serve() wraps it in a stdin/stdout
 // getline loop, and the TCP front-end (net/server.hpp, `dsml serve
 // --listen`) dispatches each framed line to the same handler — responses
-// are byte-identical across transports. Requests route through an
-// InferenceSession per model, so concurrent callers coalesce into shared
-// batches; metrics (`engine.serve.*`) and trace spans follow every request.
+// are byte-identical across transports. Each request is predicted with the
+// registry entry it resolved (engine::predict_entry), so a response's
+// "version" always names the model that answered; metrics (`engine.serve.*`)
+// and trace spans follow every request.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -47,7 +46,7 @@ struct ServeOptions {
   /// Used when a request omits "model"; "" means the field is required.
   std::string default_model;
 
-  /// Session tuning shared by every model's session.
+  /// Per-request row bound, applied to every model.
   SessionOptions session;
 };
 
@@ -59,15 +58,12 @@ struct ServeSummary {
 };
 
 /// Answers serve-protocol requests one line at a time, independent of the
-/// transport that framed them. Thread-safe: the stdin loop is single-
-/// threaded, but a concurrent front-end may call handle() from several
-/// threads and requests then coalesce in the per-model InferenceSessions.
+/// transport that framed them. Thread-safe: concurrent handle() calls share
+/// only the registry and the summary counters.
 class ServeHandler {
  public:
-  /// Sessions are created lazily per requested model against `registry`,
-  /// which must outlive the handler.
+  /// `registry` must outlive the handler.
   explicit ServeHandler(ModelRegistry& registry, ServeOptions options = {});
-  ~ServeHandler();
 
   ServeHandler(const ServeHandler&) = delete;
   ServeHandler& operator=(const ServeHandler&) = delete;
@@ -86,7 +82,6 @@ class ServeHandler {
   ServeOptions options_;
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<InferenceSession>> sessions_;
   ServeSummary summary_;
 };
 

@@ -100,49 +100,8 @@ void gemv_columns_avx2(const double* a, std::size_t lda, std::size_t m,
   }
 }
 
-// ---------------------------------------------------------------------------
-// f32 kernels — error-budgeted, FMA on purpose.
-// ---------------------------------------------------------------------------
-
-void gemm_row_block_f32_avx2(const float* a, std::size_t lda, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t i0, std::size_t i1, std::size_t k0,
-                             std::size_t k1, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::size_t k = k0; k < k1; ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;
-      const float* brow = b + k * ldb;
-      const __m256 av = _mm256_set1_ps(aik);
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bv = _mm256_loadu_ps(brow + j);
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(av, bv, cv);
-        _mm256_storeu_ps(crow + j, cv);
-      }
-      for (; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void axpy_f32_avx2(std::size_t n, float a, const float* x, float* y) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    __m256 yv = _mm256_loadu_ps(y + i);
-    yv = _mm256_fmadd_ps(av, xv, yv);
-    _mm256_storeu_ps(y + i, yv);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 constexpr SimdOps kAvx2Ops = {
-    "avx2",          gemm_row_block_avx2,     gemv_avx2,
-    gemv_columns_avx2, gemm_row_block_f32_avx2, axpy_f32_avx2,
+    "avx2", gemm_row_block_avx2, gemv_avx2, gemv_columns_avx2,
 };
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Engine-layer tests: schema fingerprints, the model registry, micro-batching
-// inference sessions (including the bit-identity determinism contract and
-// concurrent access under DSML_THREADS=4 — this suite carries the tsan
-// label), fit_and_score failure capture, and the design-space cold-start
-// cache.
+// Engine-layer tests: schema fingerprints, the model registry, inference
+// sessions (including the bit-identity determinism contract and concurrent
+// access under DSML_THREADS=4 — this suite carries the tsan label),
+// fit_and_score failure capture, the design-space cold-start cache, and the
+// serve handler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "data/column.hpp"
 #include "data/dataset.hpp"
@@ -111,6 +112,25 @@ TEST(Schema, DatasetFromRowsValidatesCells) {
   EXPECT_THROW(schema.dataset_from_rows({{"1", "1", "0"}}), InvalidArgument);
 }
 
+TEST(Schema, DatasetFromRowsRejectsNonFiniteNumerics) {
+  const Schema schema = Schema::of(make_train(6));
+  for (const char* cell : {"nan", "NaN", "inf", "-inf", "Infinity"}) {
+    try {
+      schema.dataset_from_rows(
+          {{"16", "2", "1", "weak"}, {"8", cell, "0", "weak"}});
+      FAIL() << "non-finite cell '" << cell << "' was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 1, column 'latency'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("finite"), std::string::npos) << what;
+    }
+  }
+  // An out-of-range literal never parses as a number in the first place.
+  EXPECT_THROW(schema.dataset_from_rows({{"8", "1e400", "0", "weak"}}),
+               InvalidArgument);
+}
+
 // -------------------------------------------------------------- registry --
 
 TEST(Registry, RegisterLookupAndReloadVersioning) {
@@ -206,12 +226,13 @@ TEST(Session, EnforcesQueueBound) {
   const data::Dataset train = make_train(16);
   ModelRegistry registry;
   registry.register_model("m", fit_model(train, "LR-B"), Schema::of(train));
+  metrics::Counter& rejected = metrics::counter("engine.session.rejected");
+  const std::uint64_t rejected_before = rejected.value();
   SessionOptions options;
-  options.max_batch_rows = 8;
   options.max_queue_rows = 8;
   InferenceSession session(registry, "m", options);
   EXPECT_THROW(session.predict(train), StateError);  // 16 rows > bound 8
-  EXPECT_EQ(session.stats().rejected, 1u);
+  EXPECT_EQ(rejected.value(), rejected_before + 1);
   const std::vector<std::size_t> few = {0, 1, 2, 3};
   EXPECT_EQ(session.predict(train.select_rows(few)).size(), 4u);
 }
@@ -221,9 +242,12 @@ TEST(Session, FailedBatchDegradesToPerRowRetry) {
   ModelRegistry registry;
   registry.register_model("m", fit_model(train, "LR-B"), Schema::of(train));
   InferenceSession session(registry, "m");
+  metrics::Counter& degraded = metrics::counter("engine.session.degraded");
+  const std::uint64_t degraded_before = degraded.value();
 
-  // First flush throws; every row then succeeds individually, so the caller
-  // still gets a full answer and only the stats betray the degradation.
+  // The batch predict throws; every row then succeeds individually, so the
+  // caller still gets a full answer and only the outcome and the metrics
+  // betray the degradation.
   {
     failpoint::ScopedFailpoints arm("engine.session.flush=nth:1");
     const BatchOutcome outcome = session.predict_detailed(train);
@@ -231,7 +255,7 @@ TEST(Session, FailedBatchDegradesToPerRowRetry) {
     EXPECT_TRUE(outcome.degraded);
     EXPECT_EQ(outcome.values.size(), train.n_rows());
   }
-  EXPECT_EQ(session.stats().degraded, 1u);
+  EXPECT_EQ(degraded.value(), degraded_before + 1);
 
   // Batch fails AND one row keeps failing: the poisoned row fails alone,
   // its batch neighbours keep their predictions.
@@ -257,114 +281,17 @@ TEST(Session, FailedBatchDegradesToPerRowRetry) {
   }
 }
 
-// A fitted Regressor outside the LR/NN families: make_f32_predictor returns
-// nullptr for it, so an f32 session must silently serve double.
-class MeanModel final : public ml::Regressor {
- public:
-  void fit(const data::Dataset& train) override {
-    double sum = 0.0;
-    for (double v : train.target()) sum += v;
-    mean_ = sum / static_cast<double>(train.n_rows());
-    fitted_ = true;
-  }
-  std::vector<double> predict(const data::Dataset& dataset) const override {
-    return std::vector<double>(dataset.n_rows(), mean_);
-  }
-  std::string name() const override { return "mean"; }
-  bool fitted() const noexcept override { return fitted_; }
-
- private:
-  double mean_ = 0.0;
-  bool fitted_ = false;
-};
-
-TEST(Registry, BuildsF32SnapshotForSupportedModels) {
-  const data::Dataset train = make_train(24);
-  ModelRegistry registry;
-  registry.register_model("lr", fit_model(train, "LR-B"), Schema::of(train));
-  registry.register_model("nn", fit_model(train, "NN-E"), Schema::of(train));
-  EXPECT_NE(registry.get("lr")->f32, nullptr);
-  EXPECT_NE(registry.get("nn")->f32, nullptr);
-
-  auto mean = std::make_shared<MeanModel>();
-  mean->fit(train);
-  registry.register_model("mean", mean, Schema::of(train));
-  EXPECT_EQ(registry.get("mean")->f32, nullptr);
-}
-
-TEST(Session, F32SessionMatchesSnapshotAndStaysInBudget) {
-  const data::Dataset train = make_train(64);
-  ModelRegistry registry;
-  const auto model = fit_model(train, "LR-B");
-  registry.register_model("m", model, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "m", options);
-  const std::vector<double> via_session = session.predict(train);
-
-  // The session adds batching, never arithmetic: bit-identical to the
-  // snapshot's own predict, within the 1e-5 budget of the double path.
-  const std::vector<double> direct_f32 =
-      registry.get("m")->f32->predict(train);
-  const std::vector<double> direct_double = model->predict(train);
-  ASSERT_EQ(via_session.size(), direct_f32.size());
-  for (std::size_t i = 0; i < via_session.size(); ++i) {
-    EXPECT_EQ(via_session[i], direct_f32[i]) << "row " << i;
-    EXPECT_LE(std::abs(via_session[i] - direct_double[i]),
-              1e-5 * std::max(std::abs(direct_double[i]), 1e-12))
-        << "row " << i;
-  }
-}
-
-TEST(Session, F32RequestFallsBackToDoubleWithoutSnapshot) {
-  const data::Dataset train = make_train(16);
-  ModelRegistry registry;
-  auto mean = std::make_shared<MeanModel>();
-  mean->fit(train);
-  registry.register_model("mean", mean, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "mean", options);
-  const std::vector<double> via_session = session.predict(train);
-  const std::vector<double> direct = mean->predict(train);
-  ASSERT_EQ(via_session.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_session[i], direct[i]) << "row " << i;  // double exactly
-  }
-}
-
-TEST(Session, DegradedRowsUseTheDoubleModelEvenInF32Sessions) {
-  const data::Dataset train = make_train(12);
-  ModelRegistry registry;
-  const auto model = fit_model(train, "LR-B");
-  registry.register_model("m", model, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "m", options);
-  failpoint::ScopedFailpoints arm("engine.session.flush=nth:1");
-  const BatchOutcome outcome = session.predict_detailed(train);
-  EXPECT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome.degraded);
-  const std::vector<double> direct_double = model->predict(train);
-  ASSERT_EQ(outcome.values.size(), direct_double.size());
-  for (std::size_t i = 0; i < direct_double.size(); ++i) {
-    // Per-row retry is the double path exactly, not the f32 snapshot.
-    EXPECT_EQ(outcome.values[i], direct_double[i]) << "row " << i;
-  }
-}
-
-TEST(Session, ConcurrentRequestsCoalesceAndStayBitIdentical) {
+TEST(Session, ConcurrentRequestsStayBitIdentical) {
   // The tsan-label workhorse: many threads share one session against one
-  // registry entry; whatever batch compositions the leader/follower protocol
-  // produces, every thread must see exactly the direct per-slice answer.
+  // registry entry, and every thread must see exactly the direct per-slice
+  // answer.
   const data::Dataset train = make_train(96);
   ModelRegistry registry;
   const auto model = fit_model(train, "NN-E");
   registry.register_model("nn", model, Schema::of(train));
   InferenceSession session(registry, "nn");
+  metrics::Counter& rows_metric = metrics::counter("engine.session.rows");
+  const std::uint64_t rows_before = rows_metric.value();
 
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRounds = 8;
@@ -392,9 +319,8 @@ TEST(Session, ConcurrentRequestsCoalesceAndStayBitIdentical) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const SessionStats stats = session.stats();
-  EXPECT_EQ(stats.rows, kThreads * kRounds * (train.n_rows() / kThreads));
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(rows_metric.value(),
+            rows_before + kThreads * kRounds * (train.n_rows() / kThreads));
 }
 
 TEST(Session, ConcurrentSessionsAgainstOneRegistry) {
@@ -566,7 +492,6 @@ TEST(Serve, RequestLargerThanQueueFailsAloneLoopKeepsServing) {
   registry.register_model("m", fit_model(train, "LR-B"), Schema::of(train));
   ServeOptions options;
   options.default_model = "m";
-  options.session.max_batch_rows = 2;
   options.session.max_queue_rows = 4;
   ServeHandler handler(registry, options);
 
@@ -586,6 +511,70 @@ TEST(Serve, RequestLargerThanQueueFailsAloneLoopKeepsServing) {
   const ServeSummary summary = handler.summary();
   EXPECT_EQ(summary.errors, 1u);
   EXPECT_EQ(summary.rows, 1u);
+}
+
+TEST(Serve, NonFiniteFeatureValuesAreRejected) {
+  // The JSON sentinels and an overflowing literal all decode to non-finite
+  // doubles; each must fail the request naming the cell, never come back as
+  // an "ok" NaN/Infinity prediction.
+  ModelRegistry registry;
+  ServeHandler handler = make_handler(registry);
+  for (const char* value : {R"("NaN")", R"("Infinity")", R"("-Infinity")",
+                            "1e400"}) {
+    const std::string request =
+        std::string(R"({"rows": [{"size_kb": )") + value +
+        R"(, "latency": 2, "wide": true, "predictor": "medium"}]})";
+    const std::string response = handler.handle(request);
+    EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+    EXPECT_NE(response.find("InvalidArgument"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("row 0, column 'size_kb'"), std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(handler.summary().errors, 4u);
+  EXPECT_EQ(handler.summary().rows, 0u);
+}
+
+TEST(Serve, HostileNestingGetsAnErrorAndTheNextRequestIsServed) {
+  ModelRegistry registry;
+  ServeHandler handler = make_handler(registry);
+  const std::string refused = handler.handle(std::string(100000, '['));
+  EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("IoError"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("nesting"), std::string::npos) << refused;
+
+  const std::string served =
+      handler.handle("{\"rows\": [" + train_row_json() + "]}");
+  EXPECT_NE(served.find("\"ok\":true"), std::string::npos) << served;
+  EXPECT_EQ(handler.summary().errors, 1u);
+  EXPECT_EQ(handler.summary().rows, 1u);
+}
+
+TEST(Serve, VersionNamesTheModelThatAnswered) {
+  // A re-registration between requests: the next response must carry the
+  // new version AND that version's predictions, because the handler
+  // predicts with the very entry whose version it reports.
+  ModelRegistry registry;
+  ServeHandler handler = make_handler(registry);
+  const std::string request = "{\"rows\": [" + train_row_json() + "]}";
+  EXPECT_NE(handler.handle(request).find("\"version\":1"),
+            std::string::npos);
+
+  const data::Dataset train = make_train(24);
+  const auto replacement = fit_model(train, "LR-E");
+  registry.register_model("m", replacement, Schema::of(train));
+  const data::Dataset row = Schema::of(train).dataset_from_rows(
+      {{"16", "2", "true", "medium"}});
+  json::Writer expected(/*compact=*/true);
+  expected.begin_object()
+      .field("ok", true)
+      .field("model", "m")
+      .field("version", std::uint64_t{2});
+  expected.key("predictions").begin_array();
+  expected.value(replacement->predict(row).front());
+  expected.end_array();
+  expected.end_object();
+  EXPECT_EQ(handler.handle(request), expected.str());
 }
 
 TEST(Serve, PartialResponsesCountSeparatelyFromErrors) {

@@ -147,6 +147,35 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_THROW(Value::parse("nul"), IoError);
 }
 
+TEST(JsonParser, NestingIsBoundedAtTheLimit) {
+  const std::size_t limit = kMaxNestingDepth;
+  const std::string at_limit =
+      std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_EQ(Value::parse(at_limit).type(), Value::Type::kArray);
+
+  // One level deeper fails at the offset of the opening bracket that
+  // crosses the bound, as an IoError like any other malformed input.
+  const std::string over =
+      std::string(limit + 1, '[') + std::string(limit + 1, ']');
+  try {
+    Value::parse(over);
+    FAIL() << "nesting past the limit parsed";
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("offset " + std::to_string(limit)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+  }
+}
+
+TEST(JsonParser, HostileDepthThrowsInsteadOfOverflowingTheStack) {
+  // Unbounded recursion would exhaust the stack long before 100k levels.
+  EXPECT_THROW(Value::parse(std::string(100000, '[')), IoError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_THROW(Value::parse(objects), IoError);
+}
+
 TEST(JsonParser, TypeMismatchThrows) {
   const Value v = Value::parse(R"({"n": 5})");
   EXPECT_THROW(v.at("n").as_string(), IoError);

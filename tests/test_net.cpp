@@ -17,6 +17,7 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/json.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -197,6 +198,22 @@ TEST(NetServer, HandlerExceptionBecomesErrorLineAndLoopSurvives) {
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   EXPECT_NE(response.find("handler exploded"), std::string::npos) << response;
   EXPECT_EQ(client.request("fine"), "fine!");
+}
+
+TEST(NetServer, HostileJsonNestingIsAnErrorLineNotACrash) {
+  // A handler that parses every line as JSON, as the serve and fleet
+  // protocols do. A 100k-deep line fits under the line cap, so it reaches
+  // the parser; it must come back as an error line on a live connection.
+  Server server(loopback(), [](std::string_view line) -> std::string {
+    (void)json::Value::parse(line);
+    return "parsed\n";
+  });
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+  const std::string response = client.request(std::string(100000, '['));
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("nesting"), std::string::npos) << response;
+  EXPECT_EQ(client.request("[1]"), "parsed");
 }
 
 TEST(NetServer, StopUnblocksARunningServerFromAnotherThread) {

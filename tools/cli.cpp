@@ -80,8 +80,7 @@ Options parse_options(const std::vector<std::string>& args,
       // Boolean flags may appear bare ("--fast" == "--fast 1"), so
       // `bench --fast --trace t.json` reads naturally; every other flag
       // still requires an explicit value.
-      static const std::set<std::string> kBooleanFlags = {"fast", "f32",
-                                                          "truth"};
+      static const std::set<std::string> kBooleanFlags = {"fast", "truth"};
       if (kBooleanFlags.count(key)) {
         if (i + 1 < args.size() &&
             (args[i + 1] == "0" || args[i + 1] == "1")) {
@@ -330,16 +329,14 @@ int cmd_predict(const Options& opt, std::ostream& out) {
 
   // The registry is the only sanctioned load path (dsml-lint forbids
   // ml::load_model here): load once, then predict through a session so the
-  // batched kernels serve the whole space in one flush.
+  // batched kernels serve the whole space in one call.
   engine::ModelRegistry& registry = engine::ModelRegistry::global();
   const std::string entry_name = "file:" + *path;
   registry.load_file(entry_name, *path, engine::design_space_schema());
   const auto entry = registry.get(entry_name);
   engine::InferenceSession session(
       registry, entry_name,
-      engine::SessionOptions{/*max_batch_rows=*/sim::kDesignSpaceSize,
-                             /*max_queue_rows=*/4 * sim::kDesignSpaceSize,
-                             /*retry_rows_on_batch_failure=*/true});
+      engine::SessionOptions{/*max_queue_rows=*/4 * sim::kDesignSpaceSize});
 
   if (const auto csv_path = opt.get("csv")) {
     return predict_csv(session, entry->schema, entry->model->name(),
@@ -462,12 +459,12 @@ int cmd_serve(const Options& opt, std::istream& in, std::ostream& out,
   engine::ServeOptions options;
   options.default_model =
       opt.get_or("default", names.size() == 1 ? names.front() : "");
-  options.session.max_batch_rows = parse_count_flag(opt, "batch", "512");
   options.session.max_queue_rows = parse_count_flag(opt, "queue", "4096");
-  options.session.use_f32 = opt.get_or("f32", "0") == "1";
+  if (options.session.max_queue_rows == 0) {
+    throw InvalidArgument("--queue must be >= 1");
+  }
   err << "serving " << names.size() << " model(s): "
-      << strings::join(names, ", ")
-      << (options.session.use_f32 ? " [f32]" : "") << "\n";
+      << strings::join(names, ", ") << "\n";
   engine::ServeSummary summary;
   if (opt.get("listen")) {
     engine::ServeHandler handler(registry, options);
@@ -918,9 +915,7 @@ std::string usage() {
       "  train   --app A --rate R --model M --out F [--seed S]\n"
       "  predict --model F [--top N] [--csv F]   rank the design space, or\n"
       "                                    score CSV rows, via the engine\n"
-      "  serve   --models N=F[,N=F...] [--default N] [--batch N] [--queue N]\n"
-      "          [--f32]                serve via float32 weight snapshots\n"
-      "                                 (<= 1e-5 rel. error; double default)\n"
+      "  serve   --models N=F[,N=F...] [--default N] [--queue N]\n"
       "          [--listen P [--bind A] [--max-conns N]]\n"
       "                                    JSON-lines requests on stdin ->\n"
       "                                    predictions on stdout, or over TCP\n"

@@ -77,14 +77,6 @@ void rule_float_accum(const std::string& file, const std::string& normalized,
     return;
   }
   if (!path_has_dir(normalized, "src")) return;
-  // The float32 serving path is float *by contract* (opt-in, error-budgeted;
-  // see docs/PERFORMANCE.md): the SIMD kernel TUs and the f32-named sources
-  // are exempt. Everything else in linalg/ml stays double.
-  if (path_has_dir(normalized, "linalg/simd")) return;
-  const auto slash = normalized.find_last_of('/');
-  const std::string base =
-      slash == std::string::npos ? normalized : normalized.substr(slash + 1);
-  if (base.find("f32") != std::string::npos) return;
   static const std::regex kPattern(R"(\bfloat\b)");
   scan_lines(file, model, kPattern, "float-accum",
              "float in linalg/ml code; numeric accumulation must stay double",
@@ -451,8 +443,7 @@ const std::vector<PerFileRule>& per_file_rules() {
        "random_device)",
        rule_rand_source},
       {"float-accum",
-       "float in src/linalg or src/ml numeric code (the f32 serving path "
-       "and src/linalg/simd are exempt)",
+       "float in src/linalg or src/ml numeric code",
        rule_float_accum},
       {"intrinsics-outside-simd",
        "x86 vector intrinsics under src/ or tools/ outside src/linalg/simd/",
