@@ -9,7 +9,6 @@
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "sim/core.hpp"
 #include "workload/generator.hpp"
@@ -32,8 +31,32 @@ std::string cache_path(const std::string& app, const SweepOptions& options) {
   os << resolve_cache_dir(options.cache_dir) << "/sweep_" << app << "_n"
      << options.full_trace_instructions << "_iv"
      << options.interval_instructions << "_k" << options.max_clusters << "_s"
-     << options.trace_seed << "_cfg" << sim::kDesignSpaceSize << "_v2.csv";
+     << options.trace_seed << "_cfg" << sim::kDesignSpaceSize << "_v3.csv";
   return os.str();
+}
+
+/// The simulator's fingerprint: cycle counts of a few fixed configurations
+/// (spanning every structure's menu) on a tiny fixed trace. Every cached
+/// sweep stores it; a load re-simulates it (milliseconds, once per process)
+/// and rejects a cache written by a simulator that behaves differently.
+const std::string& simulator_canary() {
+  static const std::string canary = [] {
+    const sim::Trace trace =
+        workload::generate_trace(workload::spec_profile("gcc"), 4000, 1);
+    const std::vector<sim::ProcessorConfig> space =
+        sim::enumerate_design_space();
+    std::vector<sim::ProcessorConfig> configs;
+    for (const std::size_t idx : {0, 1337, 2902, 4607}) {
+      configs.push_back(space[idx]);
+    }
+    std::string out;
+    for (const sim::SimResult& r : sim::simulate_batch(configs, trace)) {
+      if (!out.empty()) out += '/';
+      out += std::to_string(r.cycles);
+    }
+    return out;
+  }();
+  return canary;
 }
 
 bool load_cached(const std::string& path, SweepResult& result) {
@@ -47,7 +70,14 @@ bool load_cached(const std::string& path, SweepResult& result) {
     const std::size_t cyc = table.column_index("cycles");
     const std::size_t pts = table.column_index("simpoints");
     const std::size_t ins = table.column_index("instructions");
+    const std::size_t can = table.column_index("canary");
     if (table.rows.size() != sim::kDesignSpaceSize) return false;
+    if (table.rows[0][can] != simulator_canary()) {
+      // Written by a simulator that no longer produces these cycles.
+      static metrics::Counter& stale = metrics::counter("dse.cache_stale");
+      stale.add();
+      return false;
+    }
     result.cycles.clear();
     result.cycles.reserve(table.rows.size());
     for (const auto& row : table.rows) {
@@ -73,13 +103,14 @@ bool load_cached(const std::string& path, SweepResult& result) {
 
 void store_cache(const std::string& path, const SweepResult& result) {
   csv::Table table;
-  table.header = {"config", "cycles", "simpoints", "instructions"};
+  table.header = {"config", "cycles", "simpoints", "instructions", "canary"};
   table.rows.reserve(result.cycles.size());
   for (std::size_t i = 0; i < result.cycles.size(); ++i) {
     table.rows.push_back({std::to_string(i),
                           strings::format_double(result.cycles[i], 0),
                           std::to_string(result.simpoint_count),
-                          std::to_string(result.simulated_instructions)});
+                          std::to_string(result.simulated_instructions),
+                          simulator_canary()});
   }
   csv::write_file(path, table);
 }
@@ -107,6 +138,23 @@ ReducedTrace build_reduced_trace(const std::string& app,
   return out;
 }
 
+/// Cycle counts of `configs` on one trace, through the batch simulator
+/// (which shares every cache, TLB and predictor replay among the
+/// configurations that depend on it and parallelises over groups).
+std::vector<double> simulate_cycles(
+    const std::vector<sim::ProcessorConfig>& configs, const sim::Trace& trace) {
+  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
+  const std::vector<sim::SimResult> results =
+      sim::simulate_batch(configs, trace);
+  simulated.add(results.size());
+  std::vector<double> cycles;
+  cycles.reserve(results.size());
+  for (const sim::SimResult& r : results) {
+    cycles.push_back(static_cast<double>(r.cycles));
+  }
+  return cycles;
+}
+
 }  // namespace
 
 SweepResult run_design_space_sweep(const std::string& app,
@@ -131,13 +179,7 @@ SweepResult run_design_space_sweep(const std::string& app,
 
   const std::vector<sim::ProcessorConfig> space =
       sim::enumerate_design_space();
-  result.cycles.assign(space.size(), 0.0);
-  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
-  parallel_for(0, space.size(), [&](std::size_t i) {
-    const sim::SimResult r = sim::simulate(space[i], reduced);
-    simulated.add();
-    result.cycles[i] = static_cast<double>(r.cycles);
-  });
+  result.cycles = simulate_cycles(space, reduced);
 
   result.simpoint_count = reduced_trace.simpoint_count;
   result.simulated_instructions = reduced.size();
@@ -201,13 +243,10 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
   const ReducedTrace reduced_trace = build_reduced_trace(app, options);
   const std::vector<sim::ProcessorConfig> space =
       sim::enumerate_design_space();
-  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
-  parallel_for(0, indices.size(), [&](std::size_t i) {
-    const sim::SimResult r =
-        sim::simulate(space[indices[i]], reduced_trace.trace);
-    simulated.add();
-    shard.cycles[i] = static_cast<double>(r.cycles);
-  });
+  std::vector<sim::ProcessorConfig> configs;
+  configs.reserve(indices.size());
+  for (const std::size_t idx : indices) configs.push_back(space[idx]);
+  shard.cycles = simulate_cycles(configs, reduced_trace.trace);
   shard.simpoint_count = reduced_trace.simpoint_count;
   shard.simulated_instructions = reduced_trace.trace.size();
   return shard;

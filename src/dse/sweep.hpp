@@ -9,7 +9,11 @@
 //
 // A sweep is minutes of single-core CPU, so results are cached as CSV under
 // the cache directory (DSML_CACHE_DIR env var, else ".dsml_cache" in the
-// working directory), keyed by every input that affects the output.
+// working directory), keyed by every input that affects the output. Each
+// cache file also carries a simulator canary (the cycles of a few fixed
+// configurations on a tiny fixed trace); a load re-simulates it and treats
+// a mismatch — a cache written by a simulator that now behaves differently —
+// as stale: it re-simulates the sweep and counts `dse.cache_stale`.
 #pragma once
 
 #include <string>

@@ -34,19 +34,18 @@ bool Cache::access(std::uint64_t addr) {
   Way* victim = base;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     Way& way = base[w];
-    if (way.valid && way.tag == tag) {
+    if (way.lru != 0 && way.tag == tag) {
       way.lru = stamp_;
       ++hits_;
       return true;
     }
-    if (!way.valid) {
+    if (way.lru == 0) {
       victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
+    } else if (victim->lru != 0 && way.lru < victim->lru) {
       victim = &way;
     }
   }
   ++misses_;
-  victim->valid = true;
   victim->tag = tag;
   victim->lru = stamp_;
   return false;
@@ -59,7 +58,7 @@ bool Cache::probe(std::uint64_t addr) const {
       static_cast<std::uint64_t>(sets_));
   const Way* base = &ways_[set * assoc_];
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+    if (base[w].lru != 0 && base[w].tag == tag) return true;
   }
   return false;
 }

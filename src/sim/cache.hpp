@@ -42,8 +42,7 @@ class Cache {
  private:
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use stamp
-    bool valid = false;
+    std::uint64_t lru = 0;  // last-use stamp; 0 = invalid (stamps start at 1)
   };
 
   std::uint32_t line_bytes_ = 0;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 
 namespace dsml::workload {
 
@@ -294,6 +295,7 @@ class TraceBuilder {
 sim::Trace generate_trace(const AppProfile& profile, std::size_t n,
                           std::uint64_t seed) {
   DSML_REQUIRE(n > 0, "generate_trace: n must be positive");
+  trace::Span span("workload.generate_trace", "workload");
   TraceBuilder builder(profile, seed == 0 ? profile.seed : seed);
   return builder.build(n);
 }

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/csv.hpp"
+#include "common/metrics.hpp"
 #include "dse/chronological.hpp"
 #include "dse/sampled.hpp"
 #include "dse/sweep.hpp"
@@ -44,6 +46,42 @@ TEST(Sweep, CacheRoundTrip) {
     EXPECT_DOUBLE_EQ(cached.cycles[i], fresh.cycles[i]);
   }
   EXPECT_EQ(cached.simpoint_count, fresh.simpoint_count);
+  std::filesystem::remove_all(opt.cache_dir);
+}
+
+TEST(Sweep, CacheWithAWrongCanaryIsRejectedAndRebuilt) {
+  SweepOptions opt = tiny_sweep(true);
+  opt.cache_dir = (std::filesystem::temp_directory_path() /
+                   "dsml_dse_test_canary_cache").string();
+  std::filesystem::remove_all(opt.cache_dir);
+  const SweepResult fresh = run_design_space_sweep("applu", opt);
+  ASSERT_FALSE(fresh.from_cache);
+
+  // Rewrite the cache as an older simulator would have left it: same
+  // table, different canary cycles.
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(opt.cache_dir)) {
+    path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  csv::Table table = csv::read_file(path);
+  const std::size_t canary = table.column_index("canary");
+  for (auto& row : table.rows) row[canary] = "1/2/3/4";
+  table.rows[0][table.column_index("cycles")] = "1";  // the stale answer
+  csv::write_file(path, table);
+
+  metrics::Counter& stale = metrics::counter("dse.cache_stale");
+  const std::uint64_t stale_before = stale.value();
+  const SweepResult rebuilt = run_design_space_sweep("applu", opt);
+  EXPECT_FALSE(rebuilt.from_cache);
+  EXPECT_EQ(rebuilt.cycles, fresh.cycles);
+  EXPECT_EQ(stale.value(), stale_before + 1);
+
+  // The rebuilt file carries the current canary and loads again.
+  const SweepResult cached = run_design_space_sweep("applu", opt);
+  EXPECT_TRUE(cached.from_cache);
+  EXPECT_EQ(cached.cycles, fresh.cycles);
+  EXPECT_EQ(stale.value(), stale_before + 1);
   std::filesystem::remove_all(opt.cache_dir);
 }
 

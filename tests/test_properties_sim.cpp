@@ -2,6 +2,7 @@
 // configuration in the design space, checked on a random subset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -71,6 +72,40 @@ TEST_P(RandomConfigProperty, DeterministicAcrossRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomConfigProperty,
                          ::testing::Values(1, 2, 3, 4));
+
+// Timing-model invariants on every configuration of the design space, from
+// each instruction's recorded schedule.
+TEST(TimingInvariants, HoldOnTheWholeDesignSpace) {
+  const Trace trace =
+      workload::generate_trace(workload::spec_profile("mcf"), 1500, 3);
+  const std::size_t n = trace.size();
+  const std::vector<ProcessorConfig> space = enumerate_design_space();
+  const std::vector<SimResult> batch = simulate_batch(space, trace);
+  for (std::size_t k = 0; k < space.size(); ++k) {
+    const ProcessorConfig& config = space[k];
+    const auto width = static_cast<std::size_t>(config.width);
+    const Schedule s = simulate_schedule(config, trace);
+    ASSERT_EQ(s.cycles, batch[k].cycles) << config.key();
+    ASSERT_GE(s.cycles * width, n) << config.key();
+    ASSERT_EQ(s.cycles, s.commit.back()) << config.key();
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_GT(s.issue[i], s.dispatch[i]) << config.key() << " @" << i;
+      ASSERT_GT(s.commit[i], s.issue[i]) << config.key() << " @" << i;
+      if (i > 0) {
+        ASSERT_GE(s.commit[i], s.commit[i - 1]) << config.key();
+      }
+    }
+    // At most `width` dispatches and commits land in any one cycle.
+    for (std::vector<std::uint64_t> cycles : {s.dispatch, s.commit}) {
+      std::sort(cycles.begin(), cycles.end());
+      std::size_t run = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        run = i > 0 && cycles[i] == cycles[i - 1] ? run + 1 : 1;
+        ASSERT_LE(run, width) << config.key() << " cycle " << cycles[i];
+      }
+    }
+  }
+}
 
 class AppTraceProperty : public ::testing::TestWithParam<const char*> {};
 
