@@ -71,18 +71,23 @@ TEST(SimulateBatch, HandlesUntiedAndRepeatedConfigurations) {
   }
 }
 
-TEST(SimulateBatch, SerialAndParallelRunsAgree) {
+TEST(SimulateBatch, NestedAndTopLevelRunsAgree) {
   const Trace& trace = shared_trace();
   const std::vector<ProcessorConfig> configs = random_subset(160, 42);
-  // On the global pool (DSML_THREADS workers)...
-  const std::vector<SimResult> parallel = simulate_batch(configs, trace);
-  // ...and inline on one pool worker, where nested parallel_for is serial.
-  std::vector<SimResult> serial;
-  ThreadPool pool(1);
-  pool.submit([&] { serial = simulate_batch(configs, trace); }).get();
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t k = 0; k < configs.size(); ++k) {
-    expect_identical(serial[k], parallel[k], configs[k]);
+  // At top level on the global pool (DSML_THREADS workers)...
+  const std::vector<SimResult> top_level = simulate_batch(configs, trace);
+  // ...and as three concurrent batches nested in a parallel_for, whose
+  // inner loops compete for the same workers and so split their chunks
+  // across threads differently.
+  std::vector<std::vector<SimResult>> nested(3);
+  parallel_for(0, nested.size(), [&](std::size_t k) {
+    nested[k] = simulate_batch(configs, trace);
+  }, 1);
+  for (const std::vector<SimResult>& run : nested) {
+    ASSERT_EQ(run.size(), top_level.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      expect_identical(run[k], top_level[k], configs[k]);
+    }
   }
 }
 
