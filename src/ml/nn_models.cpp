@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
 
 #include "common/failpoint.hpp"
 #include "common/retry.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "data/split.hpp"
 #include "ml/metrics.hpp"
@@ -224,12 +226,32 @@ NeuralRegressor::Candidate NeuralRegressor::run_multiple(
   const std::size_t epochs = wide_menu ? scaled(500) : scaled(350);
   const std::size_t patience = wide_menu ? 100 : 60;
 
+  // Every child stream is drawn serially in menu order first (the exact
+  // draws the historical serial loop made), then the topologies train in
+  // parallel, each into its own slot. The winner and, on failure, the
+  // reported exception are both picked serially in menu order, so the
+  // result does not depend on the thread schedule.
+  std::vector<Rng> children;
+  children.reserve(menu.size());
+  for (const auto& hidden : menu) {
+    children.push_back(rng.split(hidden.size() * 131 + hidden[0]));
+  }
+  std::vector<std::optional<Candidate>> trained(menu.size());
+  std::vector<std::exception_ptr> errors(menu.size());
+  parallel_for(0, menu.size(), [&](std::size_t m) {
+    try {
+      trained[m] = train_candidate(menu[m], xl, yl, xv, yv, epochs, 0.4, 0.02,
+                                   patience, children[m]);
+    } catch (...) {
+      errors[m] = std::current_exception();
+    }
+  }, 1);
   std::optional<Candidate> best;
-  for (auto& hidden : menu) {
-    Rng child = rng.split(hidden.size() * 131 + hidden[0]);
-    Candidate c = train_candidate(hidden, xl, yl, xv, yv, epochs, 0.4, 0.02,
-                                  patience, child);
-    if (!best || c.val_mse < best->val_mse) best = std::move(c);
+  for (std::size_t m = 0; m < menu.size(); ++m) {
+    if (errors[m]) std::rethrow_exception(errors[m]);
+    if (!best || trained[m]->val_mse < best->val_mse) {
+      best = std::move(trained[m]);
+    }
   }
   return *best;
 }
