@@ -53,10 +53,12 @@ struct FitScoreRequest {
   const char* failpoint = nullptr;
 };
 
-/// What one cell produced. `failure` captures the first exception thrown by
-/// any stage; when set, the other outputs are whatever completed before it
-/// (the fitted model and predictions are always cleared so a failed cell
-/// cannot leak a half-trained artifact).
+/// What one cell produced. `failure` captures the injected failpoint's
+/// exception, else the estimate stage's, else the fit/score stage's: the
+/// failure the stages would report run one after another. When set, the
+/// estimate is kept if it completed, and the fitted model, predictions and
+/// fit time are cleared so a failed cell cannot leak a half-trained
+/// artifact.
 struct FitScoreResult {
   std::string name;                      ///< request.model.name
   std::unique_ptr<ml::Regressor> model;  ///< fitted instance (fit stage ok)
@@ -68,10 +70,12 @@ struct FitScoreResult {
   bool ok() const noexcept { return !failure.has_value(); }
 };
 
-/// Runs one cell. Never throws for cell-level failures — exceptions from the
-/// estimate/fit/score stages (and the injected failpoint) become
-/// `result.failure` with the taxonomy type from error_kind(). Contract
-/// violations (null `train`) still throw InvalidArgument.
+/// Runs one cell: the failpoint first, then the estimate and the fit/score
+/// stages concurrently (they share only the read-only training set). Never
+/// throws for cell-level failures — exceptions from the stages (and the
+/// injected failpoint) become `result.failure` with the taxonomy type from
+/// error_kind(). Contract violations (null `train`) still throw
+/// InvalidArgument.
 FitScoreResult fit_and_score(const FitScoreRequest& request);
 
 }  // namespace dsml::engine
