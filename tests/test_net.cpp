@@ -93,9 +93,12 @@ TEST(NetServer, PipelinedRequestsAnswerInOrder) {
   Server server(loopback(), echo_handler);
   ServerRunner runner(server);
   LineClient client("127.0.0.1", server.port());
-  for (int i = 0; i < 8; ++i) client.send_line("r" + std::to_string(i));
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(client.recv_line(), "r" + std::to_string(i) + "!");
+    client.send_line(std::string("r").append(std::to_string(i)));
+  }
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(client.recv_line(),
+              std::string("r").append(std::to_string(i)).append("!"));
   }
 }
 
