@@ -72,12 +72,14 @@ SweepResult run_design_space_sweep(const std::string& app,
 SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
                            const std::vector<std::size_t>& indices);
 
-/// Reassemble a full SweepResult from shards. Requires exact coverage —
-/// every configuration present exactly once — and identical
-/// simpoints/instructions across shards; throws StateError otherwise, so a
-/// lost shard can never produce a silently partial table.
-SweepResult merge_sweep_shards(const std::string& app,
-                               const std::vector<SweepShard>& shards);
+/// Reassembles shards into one shard aligned to `indices` (strictly
+/// ascending). Requires exact coverage — every requested index answered
+/// exactly once, nothing else — and identical simpoints/instructions across
+/// shards; throws StateError otherwise, so a lost or skewed shard can never
+/// produce a silently partial or mixed table. A full sweep is a request for
+/// all kDesignSpaceSize indices.
+SweepShard merge_sweep_shards(const std::vector<std::size_t>& indices,
+                              const std::vector<SweepShard>& shards);
 
 /// The modelling dataset for a sweep: 24 feature columns (Table 1) plus the
 /// cycle-count target.

@@ -1,29 +1,7 @@
-// Fleet coordinator: fault-tolerant scatter/gather over the worker fleet.
-//
-// coordinator_sweep partitions the design space across the workers that
-// answer a health ping (consistent hash, hash_ring.hpp), scatters one sweep
-// request per worker, and gathers the shard responses. Every network step
-// runs under a deadline (connect timeout + kernel-enforced I/O timeout), so
-// a dead, wedged, or stalled worker costs one bounded wait, never a hang.
-//
-// Failure model — the invariant is "complete table or loud error, never a
-// silent partial result":
-//   - a worker that fails ping, dies mid-request (EOF), times out, or
-//     answers ok:false is *evicted for the round*: its failure is recorded
-//     as a FailureRecord (taxonomy type via error_kind) and its indices
-//     return to the unassigned pool;
-//   - the next round re-pings every endpoint (a supervisor-respawned worker
-//     rejoins; a permanently dead one stays out), rebuilds the ring from
-//     the survivors, and reassigns only the missing indices — consistent
-//     hashing keeps completed shards where they are;
-//   - after max_rounds, any still-missing indices raise StateError naming
-//     the count. A merged result is checked by dse::merge_sweep_shards for
-//     exact coverage, so the table the caller gets is byte-identical to a
-//     single-process sweep.
-//
-// Failpoints `fleet.coordinator.scatter` / `fleet.coordinator.gather`
-// inject coordinator-side connection failures; the round loop must contain
-// them exactly like real worker deaths.
+// Fleet coordinator plumbing: worker endpoints, the deadlines every
+// coordinator-side connection runs under, and model-snapshot pushes. The
+// sharded sweep itself — ping, scatter, gather, evict, retry — is
+// fleet::FleetEvaluator (evaluator.hpp).
 #pragma once
 
 #include <cstdint>
@@ -54,41 +32,6 @@ struct CoordinatorOptions {
   std::size_t ring_replicas = 64;            ///< hash-ring virtual nodes
   dse::SweepOptions sweep;
 };
-
-struct FleetSweepResult {
-  dse::SweepResult sweep;                ///< complete merged table
-  std::vector<FailureRecord> failures;   ///< every tolerated worker failure
-  std::vector<std::string> evicted;      ///< endpoints evicted in some round
-  std::size_t rounds = 0;                ///< assignment rounds used
-  std::size_t workers_used = 0;          ///< workers that returned a shard
-};
-
-struct GatherResult {
-  std::vector<dse::SweepShard> shards;   ///< exact coverage of the request
-  std::vector<FailureRecord> failures;   ///< every tolerated worker failure
-  std::vector<std::string> evicted;      ///< endpoints evicted in some round
-  std::size_t rounds = 0;                ///< assignment rounds used
-  std::size_t workers_used = 0;          ///< workers that returned a shard
-};
-
-/// The fault-tolerant scatter/gather round loop over an arbitrary index set
-/// (strictly ascending, in-range): re-ping every endpoint each round,
-/// partition the still-missing indices over the survivors by consistent
-/// hash, scatter, gather, evict failures. coordinator_sweep and the
-/// campaign-facing FleetEvaluator are both thin wrappers over this. Throws
-/// InvalidArgument on an empty worker list or malformed index set,
-/// StateError when coverage cannot be completed within max_rounds.
-GatherResult coordinator_gather(const std::string& app,
-                                const std::vector<Endpoint>& workers,
-                                const CoordinatorOptions& options,
-                                const std::vector<std::size_t>& indices);
-
-/// Runs the full design-space sweep for `app` across `workers`. Throws
-/// InvalidArgument on an empty worker list, StateError when coverage cannot
-/// be completed within max_rounds (e.g. every worker dead).
-FleetSweepResult coordinator_sweep(const std::string& app,
-                                   const std::vector<Endpoint>& workers,
-                                   const CoordinatorOptions& options);
 
 /// One worker's outcome of a model push.
 struct PushOutcome {

@@ -75,6 +75,13 @@ CoordinatorOptions fast_coordinator(std::size_t max_rounds = 3) {
   return options;
 }
 
+/// Every design-space index: a full sweep is a request for all of them.
+std::vector<std::size_t> all_indices() {
+  std::vector<std::size_t> all(sim::kDesignSpaceSize);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  return all;
+}
+
 /// Runs a Worker's event loop on a background thread for a test's duration.
 class WorkerRunner {
  public:
@@ -287,13 +294,20 @@ TEST(SweepMerge, ReassemblesTheExactFullSweep) {
   for (std::size_t i = 0; i < sim::kDesignSpaceSize; ++i) {
     (i % 2 == 0 ? evens : odds).push_back(i);
   }
-  const dse::SweepResult merged = dse::merge_sweep_shards(
-      "mcf", {slice_of_golden(std::move(evens)),
-              slice_of_golden(std::move(odds))});
+  const dse::SweepShard merged = dse::merge_sweep_shards(
+      all_indices(), {slice_of_golden(std::move(evens)),
+                      slice_of_golden(std::move(odds))});
+  EXPECT_EQ(merged.indices, all_indices());
   ASSERT_EQ(merged.cycles.size(), golden().cycles.size());
   EXPECT_EQ(merged.cycles, golden().cycles);  // bit-identical
   EXPECT_EQ(merged.simpoint_count, golden().simpoint_count);
   EXPECT_EQ(merged.simulated_instructions, golden().simulated_instructions);
+
+  // Any index set merges the same way: the answer is aligned to the request.
+  const dse::SweepShard subset = dse::merge_sweep_shards(
+      {2, 5, 9}, {slice_of_golden({5}), slice_of_golden({2, 9})});
+  EXPECT_EQ(subset.cycles, slice_of_golden({2, 5, 9}).cycles);
+  EXPECT_EQ(subset.simpoint_count, golden().simpoint_count);
 }
 
 TEST(SweepMerge, RefusesSilentPartialCoverage) {
@@ -302,20 +316,25 @@ TEST(SweepMerge, RefusesSilentPartialCoverage) {
     all_but_one.push_back(i);
   }
   EXPECT_THROW(
-      dse::merge_sweep_shards("mcf", {slice_of_golden(all_but_one)}),
+      dse::merge_sweep_shards(all_indices(), {slice_of_golden(all_but_one)}),
       StateError);  // one missing configuration
-  std::vector<std::size_t> everything = all_but_one;
-  everything.push_back(0);
   dse::SweepShard dup = slice_of_golden({0});
   EXPECT_THROW(dse::merge_sweep_shards(
-                   "mcf", {slice_of_golden(everything), dup}),
+                   all_indices(), {slice_of_golden(all_indices()), dup}),
                StateError);  // index 0 covered twice
   dse::SweepShard skewed = slice_of_golden({0});
   skewed.simpoint_count += 1;  // simulated under different conditions
   EXPECT_THROW(dse::merge_sweep_shards(
-                   "mcf", {slice_of_golden(all_but_one), skewed}),
+                   all_indices(), {slice_of_golden(all_but_one), skewed}),
                StateError);
-  EXPECT_THROW(dse::merge_sweep_shards("mcf", {}), StateError);
+  skewed.simpoint_count -= 1;
+  skewed.simulated_instructions += 1;
+  EXPECT_THROW(dse::merge_sweep_shards(
+                   all_indices(), {skewed, slice_of_golden(all_but_one)}),
+               StateError);
+  EXPECT_THROW(dse::merge_sweep_shards({0, 1}, {slice_of_golden({0, 1, 2})}),
+               StateError);  // an index outside the request
+  EXPECT_THROW(dse::merge_sweep_shards(all_indices(), {}), StateError);
 }
 
 // ------------------------------------------------------------------ worker --
@@ -434,20 +453,20 @@ TEST(Coordinator, ParsesAndValidatesEndpoints) {
   EXPECT_THROW(parse_endpoint("h:0"), InvalidArgument);
   EXPECT_THROW(parse_endpoint("h:70000"), InvalidArgument);
   EXPECT_THROW(parse_endpoint(":9000"), InvalidArgument);
-  EXPECT_THROW(coordinator_sweep("mcf", {}, fast_coordinator()),
+  EXPECT_THROW(FleetEvaluator("mcf", {}, fast_coordinator()),
                InvalidArgument);
 }
 
 TEST(Coordinator, ShardedSweepMatchesLocalSweepBitForBit) {
   Fleet fleet(3);
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);  // bit-identical
-  EXPECT_EQ(result.sweep.simpoint_count, golden().simpoint_count);
-  EXPECT_EQ(result.rounds, 1u);
-  EXPECT_EQ(result.workers_used, 3u);
-  EXPECT_TRUE(result.failures.empty());
-  EXPECT_TRUE(result.evicted.empty());
+  FleetEvaluator evaluator("mcf", fleet.endpoints(), fast_coordinator());
+  const dse::SweepShard sweep = evaluator.evaluate(all_indices());
+  EXPECT_EQ(sweep.cycles, golden().cycles);  // bit-identical
+  EXPECT_EQ(sweep.simpoint_count, golden().simpoint_count);
+  EXPECT_EQ(evaluator.rounds(), 1u);
+  EXPECT_EQ(evaluator.workers_used(), 3u);
+  EXPECT_TRUE(evaluator.drain_failures().empty());
+  EXPECT_TRUE(evaluator.evicted().empty());
 }
 
 TEST(Coordinator, WorkerDeathMidSweepIsReassignedToSurvivors) {
@@ -477,30 +496,32 @@ TEST(Coordinator, WorkerDeathMidSweepIsReassignedToSurvivors) {
     hostile.reset();
   });
 
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", endpoints, fast_coordinator());
+  FleetEvaluator evaluator("mcf", endpoints, fast_coordinator());
+  const dse::SweepShard sweep = evaluator.evaluate(all_indices());
   hostile_thread.join();
 
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);  // still bit-identical
-  EXPECT_EQ(result.rounds, 2u);
-  EXPECT_EQ(result.workers_used, 2u);
-  ASSERT_EQ(result.evicted.size(), 1u);
-  EXPECT_EQ(result.evicted[0], hostile_label);
-  EXPECT_FALSE(result.failures.empty());
-  EXPECT_EQ(result.failures[0].error_type, "IoError");
+  EXPECT_EQ(sweep.cycles, golden().cycles);  // still bit-identical
+  EXPECT_EQ(evaluator.rounds(), 2u);
+  EXPECT_EQ(evaluator.workers_used(), 2u);
+  ASSERT_EQ(evaluator.evicted().size(), 1u);
+  EXPECT_EQ(evaluator.evicted()[0], hostile_label);
+  const std::vector<FailureRecord> failures = evaluator.drain_failures();
+  ASSERT_FALSE(failures.empty());
+  EXPECT_EQ(failures[0].error_type, "IoError");
 }
 
 TEST(Coordinator, WorkerSweepFailpointIsRetriedElsewhere) {
   failpoint::ScopedFailpoints armed("fleet.worker.sweep=nth:1");
   Fleet fleet(2);
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);
-  EXPECT_EQ(result.rounds, 2u);
-  ASSERT_EQ(result.failures.size(), 1u);
+  FleetEvaluator evaluator("mcf", fleet.endpoints(), fast_coordinator());
+  const dse::SweepShard sweep = evaluator.evaluate(all_indices());
+  EXPECT_EQ(sweep.cycles, golden().cycles);
+  EXPECT_EQ(evaluator.rounds(), 2u);
+  const std::vector<FailureRecord> failures = evaluator.drain_failures();
+  ASSERT_EQ(failures.size(), 1u);
   // nth triggers throw NumericalError; the remote taxonomy survives the wire.
-  EXPECT_EQ(result.failures[0].error_type, "NumericalError");
-  EXPECT_EQ(result.evicted.size(), 1u);
+  EXPECT_EQ(failures[0].error_type, "NumericalError");
+  EXPECT_EQ(evaluator.evicted().size(), 1u);
 }
 
 TEST(Coordinator, CoordinatorSideFailpointsAreContained) {
@@ -508,11 +529,11 @@ TEST(Coordinator, CoordinatorSideFailpointsAreContained) {
                            "fleet.coordinator.gather=nth:1"}) {
     failpoint::ScopedFailpoints armed(spec);
     Fleet fleet(2);
-    const FleetSweepResult result =
-        coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-    EXPECT_EQ(result.sweep.cycles, golden().cycles) << spec;
-    EXPECT_EQ(result.rounds, 2u) << spec;
-    EXPECT_FALSE(result.failures.empty()) << spec;
+    FleetEvaluator evaluator("mcf", fleet.endpoints(), fast_coordinator());
+    const dse::SweepShard sweep = evaluator.evaluate(all_indices());
+    EXPECT_EQ(sweep.cycles, golden().cycles) << spec;
+    EXPECT_EQ(evaluator.rounds(), 2u) << spec;
+    EXPECT_FALSE(evaluator.drain_failures().empty()) << spec;
   }
 }
 
@@ -524,11 +545,11 @@ TEST(Coordinator, TransportFailpointsAreContained) {
        {"net.accept=nth:1", "net.read=nth:1", "net.write=nth:1"}) {
     failpoint::ScopedFailpoints armed(spec);
     Fleet fleet(1);
-    const FleetSweepResult result =
-        coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-    EXPECT_EQ(result.sweep.cycles, golden().cycles) << spec;
-    EXPECT_EQ(result.rounds, 2u) << spec;
-    EXPECT_FALSE(result.failures.empty()) << spec;
+    FleetEvaluator evaluator("mcf", fleet.endpoints(), fast_coordinator());
+    const dse::SweepShard sweep = evaluator.evaluate(all_indices());
+    EXPECT_EQ(sweep.cycles, golden().cycles) << spec;
+    EXPECT_EQ(evaluator.rounds(), 2u) << spec;
+    EXPECT_FALSE(evaluator.drain_failures().empty()) << spec;
   }
 }
 
@@ -543,8 +564,9 @@ TEST(Coordinator, AllWorkersDeadIsALoudError) {
   }
   CoordinatorOptions options = fast_coordinator(/*max_rounds=*/2);
   options.connect_timeout_ms = 500;
+  FleetEvaluator evaluator("mcf", {{"127.0.0.1", dead_port}}, options);
   try {
-    coordinator_sweep("mcf", {{"127.0.0.1", dead_port}}, options);
+    evaluator.evaluate(all_indices());
     FAIL() << "expected StateError";
   } catch (const StateError& e) {
     EXPECT_NE(std::string(e.what()).find("unassigned"), std::string::npos)
@@ -585,6 +607,57 @@ TEST(FleetEvaluator, GathersArbitraryIndexSetsBitForBit) {
   EXPECT_THROW(evaluator.evaluate({}), InvalidArgument);
   EXPECT_THROW(evaluator.evaluate({5, 5}), InvalidArgument);
   EXPECT_THROW(evaluator.evaluate({sim::kDesignSpaceSize}), InvalidArgument);
+}
+
+TEST(FleetEvaluator, ReportsTheSweepConditionsOfALocalShard) {
+  // Every shard repeats the whole-sweep conditions; merging several shards
+  // must keep them, not add them up.
+  Fleet fleet(2);
+  FleetEvaluator remote("mcf", fleet.endpoints(), fast_coordinator());
+  dse::LocalSweepEvaluator local("mcf", tiny_sweep());
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < sim::kDesignSpaceSize; i += 7) {
+    indices.push_back(i);
+  }
+  const dse::SweepShard want = local.evaluate(indices);
+  const dse::SweepShard got = remote.evaluate(indices);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.simpoint_count, want.simpoint_count);
+  EXPECT_EQ(got.simulated_instructions, want.simulated_instructions);
+}
+
+TEST(FleetEvaluator, ShardUnderOtherSweepConditionsIsALoudError) {
+  // A hostile third "worker": pings fine, then answers its shard with the
+  // right number of (wrong) cycles simulated under a different SimPoint
+  // selection. The merge must refuse it rather than mix its cycles in.
+  Fleet fleet(2);
+  net::ServerOptions hostile_options;
+  hostile_options.bind_address = "127.0.0.1";
+  hostile_options.port = 0;
+  net::Server hostile(
+      hostile_options, [&](std::string_view line) -> std::string {
+        if (line.find("\"fleet\":\"ping\"") != std::string_view::npos) {
+          return "{\"ok\":true,\"fleet\":\"pong\",\"models\":[]}\n";
+        }
+        const SweepRequest request =
+            parse_sweep_request(json::Value::parse(line));
+        std::string reply = "{\"ok\":true,\"fleet\":\"shard\",\"cycles\":[";
+        for (std::size_t i = 0; i < request.indices.size(); ++i) {
+          reply += i == 0 ? "0" : ",0";
+        }
+        return reply + "],\"simpoints\":" +
+               std::to_string(golden().simpoint_count + 1) +
+               ",\"instructions\":" +
+               std::to_string(golden().simulated_instructions) + "}\n";
+      });
+  std::vector<Endpoint> endpoints = fleet.endpoints();
+  endpoints.push_back({"127.0.0.1", hostile.port()});
+  std::thread hostile_thread([&] { hostile.run(); });
+
+  FleetEvaluator evaluator("mcf", endpoints, fast_coordinator());
+  EXPECT_THROW(evaluator.evaluate(all_indices()), StateError);
+  hostile.request_stop();
+  hostile_thread.join();
 }
 
 TEST(FleetEvaluator, CampaignMatchesTheDatasetEvaluatorBitForBit) {
