@@ -193,17 +193,14 @@ struct CampaignConfig {
   bool estimate = true;  ///< run the §3.3 cross-validation estimate per cell
   std::size_t cv_repeats = 5;
   std::uint64_t sample_seed = 7;
-  /// Failpoint fired at the top of every cell, so the historical names
-  /// ("dse.sampled.eval", "dse.chrono.eval") survive the refactor.
+  /// Failpoint fired once per cell, serially in menu order before the cells
+  /// fan out, so `nth:` triggers land on the same cell at any thread count
+  /// and the historical names ("dse.sampled.eval", "dse.chrono.eval")
+  /// survive the refactor.
   const char* eval_failpoint = "dse.campaign.eval";
   /// Cell/failure labels: "<model>@<round label>" when true, bare model
   /// names when false (the chronological convention).
   bool label_cells = true;
-  /// Fan the model menu out across the thread pool. Cell values are
-  /// bit-identical either way (every cell owns its models and seeds);
-  /// serial keeps `nth:` failpoint triggers landing on a deterministic
-  /// cell, which the chronological fault suite relies on.
-  bool parallel_cells = true;
 };
 
 /// The campaign engine. Owns nothing but the loop; every seam is borrowed

@@ -73,9 +73,6 @@ ChronologicalResult run_chronological(specdata::Family family,
   config.estimate = false;
   config.eval_failpoint = "dse.chrono.eval";
   config.label_cells = false;  // Table 2 failure records use bare model names
-  config.parallel_cells = false;  // keep `nth:` failpoints deterministic
-  // (each cell's failpoint fires before its stages; inside a cell, CV folds,
-  // the final fit and NN topology menus run concurrently regardless)
 
   CampaignResult campaign = Campaign(config).run();
   result.failures = std::move(campaign.failures);
