@@ -3,6 +3,8 @@
 // costs, and trace generation speed.
 #include <benchmark/benchmark.h>
 
+#include "sim/branch.hpp"
+#include "sim/cache.hpp"
 #include "sim/core.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"

@@ -51,30 +51,6 @@ bool Cache::access(std::uint64_t addr) {
   return false;
 }
 
-bool Cache::probe(std::uint64_t addr) const {
-  const std::uint64_t line = addr >> line_shift_;
-  const auto set = static_cast<std::size_t>(line & set_mask_);
-  const std::uint64_t tag = line >> std::countr_zero(
-      static_cast<std::uint64_t>(sets_));
-  const Way* base = &ways_[set * assoc_];
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].lru != 0 && base[w].tag == tag) return true;
-  }
-  return false;
-}
-
-void Cache::flush() {
-  for (Way& way : ways_) way = Way{};
-  stamp_ = 0;
-}
-
-double Cache::miss_rate() const noexcept {
-  const std::uint64_t total = hits_ + misses_;
-  return total > 0 ? static_cast<double>(misses_) /
-                         static_cast<double>(total)
-                   : 0.0;
-}
-
 Tlb::Tlb(std::uint64_t reach_kb, std::uint32_t page_bytes, std::uint32_t assoc)
     : page_bytes_(page_bytes),
       cache_(reach_kb * 1024ULL / page_bytes * 8ULL, 8, assoc) {

@@ -24,16 +24,9 @@ class Cache {
   /// is write-allocate for simplicity — SimpleScalar's default dl1 is too).
   bool access(std::uint64_t addr);
 
-  /// Non-allocating lookup (used to model wrong-path pollution control).
-  bool probe(std::uint64_t addr) const;
-
-  /// Invalidate everything.
-  void flush();
-
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t accesses() const noexcept { return hits_ + misses_; }
-  double miss_rate() const noexcept;
 
   std::uint32_t line_bytes() const noexcept { return line_bytes_; }
   std::uint32_t sets() const noexcept { return sets_; }

@@ -111,8 +111,7 @@ class UnitPools {
 /// commit)` sees every instruction's schedule.
 template <typename Observe>
 std::uint64_t time_steps(std::span<const Step> steps,
-                         const ProcessorConfig& config,
-                         const LatencyModel& lat, Observe&& observe) {
+                         const ProcessorConfig& config, Observe&& observe) {
   constexpr std::size_t kRing = replay::kWindowRing;
   constexpr std::size_t kMask = kRing - 1;
   static_assert((kRing & kMask) == 0);
@@ -123,8 +122,8 @@ std::uint64_t time_steps(std::span<const Step> steps,
   // zero: the "no constraint yet" value.
   DSML_REQUIRE(ruu < kRing && lsq < kRing,
                "time_steps: RUU/LSQ larger than the completion ring");
-  const auto decode = static_cast<std::uint64_t>(lat.decode_pipeline);
-  auto penalty = static_cast<std::uint64_t>(lat.mispredict_redirect);
+  constexpr std::uint64_t decode = replay::latency::kDecodePipeline;
+  std::uint64_t penalty = replay::latency::kMispredictRedirect;
   if (config.issue_wrong) {
     // Wrong-path issue keeps the front end running: the machine resumes one
     // cycle earlier (the wrong path's L1I fetches happened in the replay).
@@ -238,102 +237,11 @@ SimResult make_result(std::size_t instructions, std::uint64_t cycles,
   return result;
 }
 
-template <typename T>
-replay::Counts totals(const T& structure) {
-  return {structure.accesses(), structure.misses()};
-}
-
 Cache make_cache(int size_kb, int line_b, int assoc) {
   return Cache(static_cast<std::uint64_t>(size_kb) * 1024,
                static_cast<std::uint32_t>(line_b),
                static_cast<std::uint32_t>(assoc));
 }
-
-Cache make_l3(const ProcessorConfig& c) {
-  return Cache(static_cast<std::uint64_t>(c.l3_size_mb) * 1024 * 1024,
-               static_cast<std::uint32_t>(c.l3_line_b),
-               static_cast<std::uint32_t>(c.l3_assoc));
-}
-
-}  // namespace
-
-OutOfOrderCore::OutOfOrderCore(const ProcessorConfig& config,
-                               const LatencyModel& latency)
-    : config_(config),
-      lat_(latency),
-      l1d_(make_cache(config.l1d_size_kb, config.l1d_line_b,
-                      config.l1d_assoc)),
-      l1i_(make_cache(config.l1i_size_kb, config.l1i_line_b,
-                      config.l1i_assoc)),
-      l2_(make_cache(config.l2_size_kb, config.l2_line_b, config.l2_assoc)),
-      itlb_(static_cast<std::uint64_t>(config.itlb_size_kb)),
-      dtlb_(static_cast<std::uint64_t>(config.dtlb_size_kb)),
-      predictor_(make_branch_predictor(config.branch_predictor)) {
-  config.validate();
-  if (config.has_l3()) l3_.emplace(make_l3(config));
-}
-
-SimResult OutOfOrderCore::run(std::span<const Instr> trace) {
-  return run_observed(trace, NoObserver{});
-}
-
-template <typename Observe>
-SimResult OutOfOrderCore::run_observed(std::span<const Instr> trace,
-                                       Observe&& observe) {
-  DSML_REQUIRE(!trace.empty(), "OutOfOrderCore::run: empty trace");
-  replay::TraceSteps base = replay::trace_steps(trace, lat_);
-  const replay::BranchStream branches =
-      replay::replay_predictor(*predictor_, trace);
-  const std::vector<std::uint32_t> events = replay::fetch_events(
-      trace, static_cast<std::uint32_t>(config_.l1i_line_b), branches);
-  const replay::Stream itlb =
-      replay::replay_at(itlb_, trace, events, &Instr::pc);
-  const replay::Stream l1i =
-      replay::replay_l1i(l1i_, trace, events, branches, config_.issue_wrong);
-  const replay::Stream dtlb =
-      replay::replay_at(dtlb_, trace, base.mem_ops, &Instr::mem_addr);
-  const replay::Stream l1d =
-      replay::replay_at(l1d_, trace, base.mem_ops, &Instr::mem_addr);
-  const std::vector<replay::LowerAccess> lower =
-      replay::lower_accesses(trace, events, l1i, base.mem_ops, l1d);
-  const replay::Stream l2 = replay::replay_l2(l2_, trace, lower);
-  std::optional<replay::Stream> l3;
-  if (l3_) l3 = replay::replay_l3(*l3_, trace, lower, l2);
-
-  replay::mark_front_end(base.steps, events, branches);
-  replay::patch_latencies(base.steps, config_, lat_,
-                          {events, &itlb, &l1i, base.mem_ops, &dtlb, &l1d,
-                           lower, &l2, l3 ? &*l3 : nullptr});
-  const std::uint64_t cycles = time_steps(base.steps, config_, lat_, observe);
-  // Cumulative counters: a warm core reports rates over all its runs.
-  StructureCounts counts{totals(l1d_), totals(l1i_), totals(l2_),
-                         l3_ ? totals(*l3_) : replay::Counts{},
-                         totals(itlb_), totals(dtlb_)};
-  return make_result(trace.size(), cycles, branches, counts, l3_.has_value());
-}
-
-SimResult simulate(const ProcessorConfig& config, const Trace& trace) {
-  return simulate_batch(std::span<const ProcessorConfig>(&config, 1),
-                        trace)[0];
-}
-
-Schedule simulate_schedule(const ProcessorConfig& config, const Trace& trace) {
-  Schedule schedule;
-  schedule.dispatch.resize(trace.size());
-  schedule.issue.resize(trace.size());
-  schedule.commit.resize(trace.size());
-  OutOfOrderCore core(config);
-  schedule.cycles =
-      core.run_observed(trace.span(), [&](std::size_t i, std::uint64_t d,
-                                          std::uint64_t is, std::uint64_t c) {
-            schedule.dispatch[i] = d;
-            schedule.issue[i] = is;
-            schedule.commit[i] = c;
-          }).cycles;
-  return schedule;
-}
-
-namespace {
 
 /// Numbers distinct keys in first-seen order.
 template <typename Key>
@@ -359,15 +267,16 @@ struct Plan {
   std::size_t bp = 0, events = 0, itlb = 0, l1i = 0, dtlb = 0, l1d = 0;
 };
 
-}  // namespace
-
-std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
-                                      const Trace& trace) {
+/// The body of simulate_batch. `observer_for(k)` returns the observer that
+/// sees configuration k's timing pass (see time_steps).
+template <typename ObserverFor>
+std::vector<SimResult> simulate_observed(
+    std::span<const ProcessorConfig> configs, const Trace& trace,
+    ObserverFor&& observer_for) {
   DSML_REQUIRE(!trace.instrs.empty(), "simulate_batch: empty trace");
   for (const ProcessorConfig& c : configs) c.validate();
-  const LatencyModel lat;
   const std::span<const Instr> instrs = trace.span();
-  const replay::TraceSteps base = replay::trace_steps(instrs, lat);
+  const replay::TraceSteps base = replay::trace_steps(instrs);
 
   // Number each structure's distinct sub-configurations.
   Ids<BranchPredictorKind> bp_ids;
@@ -477,7 +386,8 @@ std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
         }
         if (!c.has_l3()) continue;
         if (l3_ids({j, {c.l3_size_mb, c.l3_line_b, c.l3_assoc}}) == l3.size()) {
-          Cache cache = make_l3(c);
+          Cache cache = make_cache(c.l3_size_mb * 1024, c.l3_line_b,
+                                   c.l3_assoc);
           l3.push_back(replay::replay_l3(cache, instrs, lower, l2[j]));
         }
       }
@@ -504,7 +414,7 @@ std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
       const replay::Stream* l3_stream =
           l3_slot > 0 ? &l3[l3_slot - 1] : nullptr;
       replay::patch_latencies(
-          steps, configs[sharing.front()], lat,
+          steps, configs[sharing.front()],
           {group_events, &itlb[itlb_id], &l1i[gp.l1i], base.mem_ops,
            &dtlb[dtlb_id], &l1d[gp.l1d], lower, &l2[j], l3_stream});
       const StructureCounts counts{
@@ -514,7 +424,7 @@ std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
       for (const std::size_t k : sharing) {
         trace::Stopwatch timer;
         const std::uint64_t cycles =
-            time_steps(steps, configs[k], lat, NoObserver{});
+            time_steps(steps, configs[k], observer_for(k));
         results[k] = make_result(instrs.size(), cycles, group_branches, counts,
                                  configs[k].has_l3());
         config_us.observe(timer.seconds() * 1e6);
@@ -522,6 +432,37 @@ std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
     }
   }, 1);
   return results;
+}
+
+}  // namespace
+
+SimResult simulate(const ProcessorConfig& config, const Trace& trace) {
+  return simulate_batch(std::span<const ProcessorConfig>(&config, 1),
+                        trace)[0];
+}
+
+std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
+                                      const Trace& trace) {
+  return simulate_observed(configs, trace,
+                           [](std::size_t) { return NoObserver{}; });
+}
+
+Schedule simulate_schedule(const ProcessorConfig& config, const Trace& trace) {
+  Schedule schedule;
+  schedule.dispatch.resize(trace.size());
+  schedule.issue.resize(trace.size());
+  schedule.commit.resize(trace.size());
+  const auto record = [&](std::size_t i, std::uint64_t d, std::uint64_t is,
+                          std::uint64_t c) {
+    schedule.dispatch[i] = d;
+    schedule.issue[i] = is;
+    schedule.commit[i] = c;
+  };
+  schedule.cycles =
+      simulate_observed(std::span<const ProcessorConfig>(&config, 1), trace,
+                        [&](std::size_t) { return record; })[0]
+          .cycles;
+  return schedule;
 }
 
 }  // namespace dsml::sim

@@ -24,16 +24,16 @@
 // predictor kind, widths, wrong-path issue, RUU/LSQ, TLBs, FU mix — feeds
 // into the timing, so the design space has the interactions the surrogate
 // models are supposed to learn.
+//
+// Every simulation starts cold and runs the one batch path below: simulate
+// and simulate_schedule are simulate_batch of a single configuration. The
+// latency table is fixed (sim/replay.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "sim/branch.hpp"
-#include "sim/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
 
@@ -59,56 +59,6 @@ struct SimResult {
   SimStats stats;
 };
 
-/// Latency table (cycles). These mirror common sim-outorder settings for an
-/// early-2000s deep pipeline; documented here so benches/tests can reason
-/// about them.
-struct LatencyModel {
-  int decode_pipeline = 3;      ///< fetch→dispatch depth
-  int int_alu = 1;
-  int int_mult = 3;
-  int fp_alu = 2;
-  int fp_mult = 4;
-  int agen = 1;                 ///< address generation before D$ access
-  int l1d_hit = 1;
-  int l1d_hit_large = 2;        ///< 64KB L1 pays one extra cycle
-  int l2_hit = 12;
-  int l2_hit_large = 15;        ///< 1MB L2 pays a little more
-  int l3_hit = 40;
-  int memory = 170;
-  int tlb_miss = 36;
-  int mispredict_redirect = 7;  ///< resolve→refetch penalty
-};
-
-struct Schedule;
-
-class OutOfOrderCore {
- public:
-  explicit OutOfOrderCore(const ProcessorConfig& config,
-                          const LatencyModel& latency = {});
-
-  /// Simulate a trace; returns total cycles and detailed statistics. Caches,
-  /// TLBs and the predictor carry their state into the next run on the same
-  /// instance (the miss rates are then cumulative across runs), which is how
-  /// SimPoint's functional warm-up uses it.
-  SimResult run(std::span<const Instr> trace);
-
- private:
-  friend Schedule simulate_schedule(const ProcessorConfig& config,
-                                    const Trace& trace);
-  template <typename Observe>
-  SimResult run_observed(std::span<const Instr> trace, Observe&& observe);
-
-  ProcessorConfig config_;
-  LatencyModel lat_;
-  Cache l1d_;
-  Cache l1i_;
-  Cache l2_;
-  std::optional<Cache> l3_;  // present iff config_.has_l3()
-  Tlb itlb_;
-  Tlb dtlb_;
-  std::unique_ptr<BranchPredictor> predictor_;
-};
-
 /// Facade: simulate one configuration against one trace (cold caches). The
 /// same as simulate_batch of that one configuration.
 SimResult simulate(const ProcessorConfig& config, const Trace& trace);
@@ -132,7 +82,8 @@ struct Schedule {
   std::uint64_t cycles = 0;
 };
 
-/// simulate() that also records every instruction's schedule.
+/// simulate() that also records every instruction's schedule: the same
+/// replay and timing pass, run as simulate_batch of one configuration.
 Schedule simulate_schedule(const ProcessorConfig& config, const Trace& trace);
 
 }  // namespace dsml::sim

@@ -3,22 +3,9 @@
 #include <bit>
 #include <iterator>
 
-#include "sim/core.hpp"
-
 namespace dsml::sim::replay {
 
 namespace {
-
-/// Runs `access` over a structure and returns its miss/access deltas, so a
-/// structure reused across replays (or warm from an earlier run) reports
-/// this replay only.
-template <typename Structure, typename Fn>
-Counts counted(const Structure& s, Fn&& access) {
-  const std::uint64_t accesses = s.accesses();
-  const std::uint64_t misses = s.misses();
-  access();
-  return {s.accesses() - accesses, s.misses() - misses};
-}
 
 std::uint16_t window_dep(std::uint32_t dep, std::size_t i) {
   return dep != 0 && dep <= i && dep < kWindowRing
@@ -30,40 +17,24 @@ LowerAccess lower(std::uint32_t instr, LowerAccess::Kind kind) {
   return {instr << 2 | kind};
 }
 
-/// Steps hold latencies in 16 bits: reject a model whose worst case (a
-/// load missing the DTLB and every cache level) does not fit.
-void check_latencies(const LatencyModel& lat) {
-  const int parts[] = {lat.decode_pipeline, lat.int_alu,    lat.int_mult,
-                       lat.fp_alu,          lat.fp_mult,    lat.agen,
-                       lat.l1d_hit,         lat.l1d_hit_large, lat.l2_hit,
-                       lat.l2_hit_large,    lat.l3_hit,     lat.memory,
-                       lat.tlb_miss,        lat.mispredict_redirect};
-  long long worst = 0;
-  for (const int p : parts) {
-    DSML_REQUIRE(p >= 0, "LatencyModel: latencies must be non-negative");
-    worst += p;
-  }
-  DSML_REQUIRE(worst <= 0xffff, "LatencyModel: latencies too large");
-}
-
 }  // namespace
 
-TraceSteps trace_steps(std::span<const Instr> trace, const LatencyModel& lat) {
+TraceSteps trace_steps(std::span<const Instr> trace) {
   DSML_REQUIRE(trace.size() < (1U << 30), "trace_steps: trace too long");
-  check_latencies(lat);
   // Per operation class, in OpClass order. Loads get their hierarchy
   // latency in patch_latencies; stores retire once the address is
   // generated.
   struct OpSteps {
     std::uint8_t unit;
     std::uint8_t flags;
-    int exec;
+    std::uint16_t exec;
   };
-  const OpSteps by_op[] = {
-      {kUnitIalu, 0, lat.int_alu},         {kUnitImult, 0, lat.int_mult},
-      {kUnitFpalu, 0, lat.fp_alu},         {kUnitFpmult, 0, lat.fp_mult},
-      {kUnitMemport, kMem | kLoad, lat.agen}, {kUnitMemport, kMem, lat.agen},
-      {kUnitIalu, 0, lat.int_alu}};
+  using namespace latency;
+  constexpr OpSteps by_op[] = {
+      {kUnitIalu, 0, kIntAlu},         {kUnitImult, 0, kIntMult},
+      {kUnitFpalu, 0, kFpAlu},         {kUnitFpmult, 0, kFpMult},
+      {kUnitMemport, kMem | kLoad, kAgen}, {kUnitMemport, kMem, kAgen},
+      {kUnitIalu, 0, kIntAlu}};
   static_assert(static_cast<int>(OpClass::kBranch) == 6);
 
   TraceSteps out;
@@ -81,7 +52,7 @@ TraceSteps trace_steps(std::span<const Instr> trace, const LatencyModel& lat) {
     s.unit = o.unit;
     const bool taken_branch = ins.op == OpClass::kBranch && ins.taken;
     s.flags = static_cast<std::uint8_t>(o.flags | (taken_branch ? kTaken : 0));
-    s.exec = static_cast<std::uint16_t>(o.exec);
+    s.exec = o.exec;
     out.mem_ops[mem_count] = static_cast<std::uint32_t>(i);
     mem_count += (o.flags & kMem) != 0 ? 1 : 0;
   }
@@ -137,11 +108,10 @@ Stream replay_at(Structure& structure, std::span<const Instr> trace,
                  std::uint64_t Instr::*address) {
   Stream out;
   out.miss.resize(at.size());
-  out.counts = counted(structure, [&] {
-    for (std::size_t k = 0; k < at.size(); ++k) {
-      out.miss[k] = structure.access(trace[at[k]].*address) ? 0 : 1;
-    }
-  });
+  for (std::size_t k = 0; k < at.size(); ++k) {
+    out.miss[k] = structure.access(trace[at[k]].*address) ? 0 : 1;
+  }
+  out.counts = {structure.accesses(), structure.misses()};
   return out;
 }
 
@@ -158,27 +128,26 @@ Stream replay_l1i(Cache& l1i, std::span<const Instr> trace,
   Stream out;
   out.miss.resize(events.size());
   const std::uint64_t line = l1i.line_bytes();
-  out.counts = counted(l1i, [&] {
-    std::size_t w = 0;
-    const std::size_t wrong = issue_wrong ? branches.mispredicted.size() : 0;
-    for (std::size_t k = 0; k < events.size(); ++k) {
-      // Wrong-path fetches of earlier branches come first; an event at the
-      // branch itself precedes that branch's wrong path.
-      for (; w < wrong && branches.mispredicted[w] < events[k]; ++w) {
-        const Instr& br = trace[branches.mispredicted[w]];
-        const std::uint64_t wrong_pc = br.taken ? br.pc + 4 : br.target;
-        l1i.access(wrong_pc);
-        l1i.access(wrong_pc + line);
-      }
-      out.miss[k] = l1i.access(trace[events[k]].pc) ? 0 : 1;
-    }
-    for (; w < wrong; ++w) {
+  std::size_t w = 0;
+  const std::size_t wrong = issue_wrong ? branches.mispredicted.size() : 0;
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    // Wrong-path fetches of earlier branches come first; an event at the
+    // branch itself precedes that branch's wrong path.
+    for (; w < wrong && branches.mispredicted[w] < events[k]; ++w) {
       const Instr& br = trace[branches.mispredicted[w]];
       const std::uint64_t wrong_pc = br.taken ? br.pc + 4 : br.target;
       l1i.access(wrong_pc);
       l1i.access(wrong_pc + line);
     }
-  });
+    out.miss[k] = l1i.access(trace[events[k]].pc) ? 0 : 1;
+  }
+  for (; w < wrong; ++w) {
+    const Instr& br = trace[branches.mispredicted[w]];
+    const std::uint64_t wrong_pc = br.taken ? br.pc + 4 : br.target;
+    l1i.access(wrong_pc);
+    l1i.access(wrong_pc + line);
+  }
+  out.counts = {l1i.accesses(), l1i.misses()};
   return out;
 }
 
@@ -219,11 +188,10 @@ Stream replay_l2(Cache& l2, std::span<const Instr> trace,
                  std::span<const LowerAccess> accesses) {
   Stream out;
   out.miss.resize(accesses.size());
-  out.counts = counted(l2, [&] {
-    for (std::size_t k = 0; k < accesses.size(); ++k) {
-      out.miss[k] = l2.access(accesses[k].addr(trace)) ? 0 : 1;
-    }
-  });
+  for (std::size_t k = 0; k < accesses.size(); ++k) {
+    out.miss[k] = l2.access(accesses[k].addr(trace)) ? 0 : 1;
+  }
+  out.counts = {l2.accesses(), l2.misses()};
   return out;
 }
 
@@ -231,13 +199,12 @@ Stream replay_l3(Cache& l3, std::span<const Instr> trace,
                  std::span<const LowerAccess> accesses, const Stream& l2) {
   Stream out;
   out.miss.reserve(static_cast<std::size_t>(l2.counts.misses));
-  out.counts = counted(l3, [&] {
-    for (std::size_t k = 0; k < accesses.size(); ++k) {
-      if (l2.miss[k]) {
-        out.miss.push_back(l3.access(accesses[k].addr(trace)) ? 0 : 1);
-      }
+  for (std::size_t k = 0; k < accesses.size(); ++k) {
+    if (l2.miss[k]) {
+      out.miss.push_back(l3.access(accesses[k].addr(trace)) ? 0 : 1);
     }
-  });
+  }
+  out.counts = {l3.accesses(), l3.misses()};
   return out;
 }
 
@@ -253,27 +220,25 @@ void mark_front_end(std::span<Step> steps,
 }
 
 void patch_latencies(std::span<Step> steps, const ProcessorConfig& config,
-                     const LatencyModel& lat, const Hierarchy& h) {
-  // Every sum below fits 16 bits (check_latencies).
-  const auto tlb = static_cast<std::uint16_t>(lat.tlb_miss);
-  const auto l1d_hit = static_cast<std::uint16_t>(
-      config.l1d_size_kb >= 64 ? lat.l1d_hit_large : lat.l1d_hit);
-  const auto agen = static_cast<std::uint16_t>(lat.agen);
+                     const Hierarchy& h) {
+  // Every sum below fits 16 bits (the static_assert in replay.hpp).
+  using namespace latency;
+  const std::uint16_t l1d_hit =
+      config.l1d_size_kb >= 64 ? kL1dHitLarge : kL1dHit;
   // Latency below the L1s by depth: L2 hit, L3 hit, memory.
-  const auto l2_hit = static_cast<std::uint16_t>(
-      config.l2_size_kb >= 1024 ? lat.l2_hit_large : lat.l2_hit);
-  const auto l3_hit = static_cast<std::uint16_t>(lat.l3_hit);
+  const std::uint16_t l2_hit =
+      config.l2_size_kb >= 1024 ? kL2HitLarge : kL2Hit;
   const std::uint16_t below[3] = {
-      l2_hit, static_cast<std::uint16_t>(l2_hit + l3_hit),
-      static_cast<std::uint16_t>(l2_hit + (h.l3 ? l3_hit : 0) + lat.memory)};
+      l2_hit, static_cast<std::uint16_t>(l2_hit + kL3Hit),
+      static_cast<std::uint16_t>(l2_hit + (h.l3 ? kL3Hit : 0) + kMemory)};
 
   for (std::size_t k = 0; k < h.events.size(); ++k) {
-    steps[h.events[k]].fetch = h.itlb->miss[k] ? tlb : 0;
+    steps[h.events[k]].fetch = h.itlb->miss[k] ? kTlbMiss : 0;
   }
   for (std::size_t k = 0; k < h.mem_ops.size(); ++k) {
     Step& s = steps[h.mem_ops[k]];
     const auto load = static_cast<std::uint16_t>(
-        agen + l1d_hit + (h.dtlb->miss[k] ? tlb : 0));
+        kAgen + l1d_hit + (h.dtlb->miss[k] ? kTlbMiss : 0));
     s.exec = (s.flags & kLoad) != 0 ? load : s.exec;
   }
   std::size_t l3_at = 0;

@@ -18,12 +18,11 @@
 //                       program order (an instruction's fetch before its data)
 //   L3                  geometry over the L2 misses
 //
-// The stages below compute those streams one structure at a time on
-// caller-owned structures. OutOfOrderCore::run chains them over its own
-// (warm) structures; simulate_batch computes each stream once per distinct
-// sub-configuration and shares it among every configuration that depends on
-// it. Both then patch the resulting latencies into per-instruction Steps
-// and run the same timing pass.
+// The stages below compute those streams one structure at a time, each on
+// a freshly built (cold) structure. simulate_batch computes each stream once
+// per distinct sub-configuration and shares it among every configuration
+// that depends on it, then patches the resulting latencies into
+// per-instruction Steps and runs the timing pass.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +34,35 @@
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
 
-namespace dsml::sim {
+namespace dsml::sim::replay {
 
-struct LatencyModel;
+/// Latencies (cycles). These mirror common sim-outorder settings for an
+/// early-2000s deep pipeline.
+namespace latency {
+inline constexpr std::uint16_t kDecodePipeline = 3;  ///< fetch→dispatch depth
+inline constexpr std::uint16_t kIntAlu = 1;
+inline constexpr std::uint16_t kIntMult = 3;
+inline constexpr std::uint16_t kFpAlu = 2;
+inline constexpr std::uint16_t kFpMult = 4;
+inline constexpr std::uint16_t kAgen = 1;  ///< address generation before D$
+inline constexpr std::uint16_t kL1dHit = 1;
+inline constexpr std::uint16_t kL1dHitLarge = 2;  ///< 64KB L1 pays one more
+inline constexpr std::uint16_t kL2Hit = 12;
+inline constexpr std::uint16_t kL2HitLarge = 15;  ///< 1MB L2 pays a little more
+inline constexpr std::uint16_t kL3Hit = 40;
+inline constexpr std::uint16_t kMemory = 170;
+inline constexpr std::uint16_t kTlbMiss = 36;
+inline constexpr std::uint16_t kMispredictRedirect = 7;  ///< resolve→refetch
+}  // namespace latency
 
-namespace replay {
+// Steps hold latencies in 16 bits: the worst case (every latency at once,
+// a superset of a load missing the DTLB and every cache level) must fit.
+static_assert(latency::kDecodePipeline + latency::kIntAlu + latency::kIntMult +
+                  latency::kFpAlu + latency::kFpMult + latency::kAgen +
+                  latency::kL1dHit + latency::kL1dHitLarge + latency::kL2Hit +
+                  latency::kL2HitLarge + latency::kL3Hit + latency::kMemory +
+                  latency::kTlbMiss + latency::kMispredictRedirect <=
+              0xffff);
 
 /// Access and miss totals of one structure over one replay.
 struct Counts {
@@ -48,8 +71,9 @@ struct Counts {
 };
 
 /// Outcome stream of one cache or TLB: one miss flag per access, in access
-/// order, plus the structure's totals over the replay (which also count
-/// accesses that carry no flag: the L1I's wrong-path fetches).
+/// order, plus the totals of the structure, built fresh for this replay
+/// (they also count accesses that carry no flag: the L1I's wrong-path
+/// fetches).
 struct Stream {
   std::vector<std::uint8_t> miss;
   Counts counts;
@@ -88,14 +112,12 @@ enum : std::uint8_t {
 inline constexpr std::size_t kWindowRing = 512;
 
 /// The trace-only half of every Step (unit, deps, memory/taken flags, class
-/// latencies; loads get agen only) and the memory-operation indices. Throws
-/// InvalidArgument for a negative latency or one whose worst-case sum does
-/// not fit a Step.
+/// latencies; loads get agen only) and the memory-operation indices.
 struct TraceSteps {
   std::vector<Step> steps;
   std::vector<std::uint32_t> mem_ops;
 };
-TraceSteps trace_steps(std::span<const Instr> trace, const LatencyModel& lat);
+TraceSteps trace_steps(std::span<const Instr> trace);
 
 /// Predicts and trains every branch in program order.
 BranchStream replay_predictor(BranchPredictor& predictor,
@@ -172,7 +194,6 @@ struct Hierarchy {
 /// Writes the fetch latency of every event and the execute latency of every
 /// load for one configuration's hierarchy.
 void patch_latencies(std::span<Step> steps, const ProcessorConfig& config,
-                     const LatencyModel& lat, const Hierarchy& h);
+                     const Hierarchy& h);
 
-}  // namespace replay
-}  // namespace dsml::sim
+}  // namespace dsml::sim::replay

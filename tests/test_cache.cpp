@@ -90,31 +90,6 @@ TEST(Cache, LineSizeSpatialLocality) {
               2.0, 0.01);
 }
 
-TEST(Cache, ProbeDoesNotAllocate) {
-  Cache c(1024, 64, 2);
-  EXPECT_FALSE(c.probe(0x2000));
-  EXPECT_FALSE(c.access(0x2000));  // still a miss: probe didn't insert
-  EXPECT_TRUE(c.probe(0x2000));
-  const auto hits = c.hits();
-  c.probe(0x2000);
-  EXPECT_EQ(c.hits(), hits);  // probe doesn't count stats
-}
-
-TEST(Cache, FlushEmptiesCache) {
-  Cache c(1024, 64, 2);
-  c.access(0x100);
-  c.flush();
-  EXPECT_FALSE(c.probe(0x100));
-}
-
-TEST(Cache, MissRate) {
-  Cache c(1024, 64, 2);
-  EXPECT_DOUBLE_EQ(c.miss_rate(), 0.0);  // no accesses yet
-  c.access(0);
-  c.access(0);
-  EXPECT_DOUBLE_EQ(c.miss_rate(), 0.5);
-}
-
 class CacheGeometryTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t,
                                                  std::uint32_t>> {};

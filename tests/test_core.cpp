@@ -159,16 +159,6 @@ TEST(Core, MemoryBoundAppSlowerThanComputeApp) {
   EXPECT_LT(mcf.stats.ipc, applu.stats.ipc);
 }
 
-TEST(Core, CoreInstanceRunsOnce) {
-  // A core carries cache/predictor state; the facade builds a fresh core per
-  // simulation so results are cold-start reproducible.
-  OutOfOrderCore core(base_config());
-  const Trace trace = compute_trace();
-  const auto first = core.run(trace.span());
-  const auto second = core.run(trace.span());  // warm caches now
-  EXPECT_LE(second.cycles, first.cycles);
-}
-
 TEST(Core, IssueWrongChangesTiming) {
   ProcessorConfig off = base_config();
   ProcessorConfig on = base_config();
@@ -180,16 +170,6 @@ TEST(Core, IssueWrongChangesTiming) {
   // Wrong-path issue resumes fetch earlier after mispredicts: on a branchy
   // trace it should not hurt.
   EXPECT_LE(r_on.cycles, r_off.cycles);
-}
-
-TEST(Core, LatencyModelScalesCycles) {
-  LatencyModel slow;
-  slow.memory = 400;
-  const Trace trace = memory_heavy_trace();
-  OutOfOrderCore fast_core(base_config());
-  OutOfOrderCore slow_core(base_config(), slow);
-  EXPECT_LT(fast_core.run(trace.span()).cycles,
-            slow_core.run(trace.span()).cycles);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "dse/chronological.hpp"
 #include "dse/sampled.hpp"
 #include "dse/sweep.hpp"
+#include "sim/config.hpp"
 
 namespace dsml::dse {
 namespace {

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -196,17 +199,27 @@ TEST(Registry, RejectsUnfittedAndSchemaMismatchedModels) {
 
 TEST(Session, BatchedPredictionsBitIdenticalToDirectPredict) {
   const data::Dataset train = make_train(64);
-  ModelRegistry registry;
-  const auto model = fit_model(train, "NN-E");
-  registry.register_model("nn", model, Schema::of(train));
+  for (const char* name : {"NN-E", "LR-B"}) {
+    SCOPED_TRACE(name);
+    ModelRegistry registry;
+    const auto model = fit_model(train, name);
+    registry.register_model("m", model, Schema::of(train));
 
-  InferenceSession session(registry, "nn");
-  const std::vector<double> via_session = session.predict(train);
-  const std::vector<double> direct = model->predict(train);
-  ASSERT_EQ(via_session.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    // Bit-identical, not approximately equal: the determinism contract.
-    EXPECT_EQ(via_session[i], direct[i]) << "row " << i;
+    InferenceSession session(registry, "m");
+    const std::vector<double> batched = session.predict(train);
+    const std::vector<double> direct = model->predict(train);
+    ASSERT_EQ(batched.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      // Bit-identical, not approximately equal: the determinism contract,
+      // for a whole-set request and for one request per row.
+      const std::size_t one[] = {i};
+      const std::vector<double> per_row =
+          session.predict(train.select_rows(one));
+      ASSERT_EQ(per_row.size(), 1u);
+      const auto bits = std::bit_cast<std::uint64_t>(direct[i]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[i]), bits) << "row " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(per_row[0]), bits) << "row " << i;
+    }
   }
 }
 

@@ -5,8 +5,7 @@
 //   - the exact sum and an FNV-1a hash of its 4608-configuration cycle table
 //     (dse::run_design_space_sweep, uncached);
 //   - the means of every SimStats field over the same 4608 configurations;
-//   - one run_sweep_shard slice over a scattered, unordered index set;
-//   - weighted_cycle_estimate for two configurations (warm-state core runs).
+//   - one run_sweep_shard slice over a scattered, unordered index set.
 // Any change to the simulator that moves one cycle or one rate fails here.
 //
 // Regenerate (only when a behaviour change is intended and reviewed):
@@ -138,12 +137,6 @@ std::string app_digest(const std::string& app) {
     out << " " << shard.indices[i] << "=" << exact(shard.cycles[i]);
   }
   out << "\n";
-
-  for (const std::size_t idx : {std::size_t{1234}, std::size_t{4321}}) {
-    out << "weighted config=" << idx << " estimate="
-        << exact(workload::weighted_cycle_estimate(space[idx], full, points))
-        << "\n";
-  }
   return out.str();
 }
 

@@ -23,9 +23,6 @@
 #include "dse/campaign.hpp"
 #include "dse/chronological.hpp"
 #include "dse/sampler.hpp"
-#include "engine/registry.hpp"
-#include "engine/schema.hpp"
-#include "engine/session.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/kernels.hpp"
 #include "ml/linreg.hpp"
@@ -332,77 +329,6 @@ Section bench_lr_predict(json::Writer& w, const data::Dataset& full,
   w.field("fused_ms", s.optimized_ms);
   w.field("copy_then_gemv_ms", s.reference_ms);
   w.field("fused_rows_per_sec", static_cast<double>(full.n_rows()) / opt_s);
-  w.field("speedup", s.speedup());
-  w.field("bit_identical", s.equivalent);
-  w.end_object();
-  return s;
-}
-
-// ---------------------------------------------------------------- engine ---
-
-/// Registry + session overhead on top of the raw kernels: a design space
-/// served one request per row versus one whole-space request, plus registry
-/// lookup throughput. The session must not break the determinism contract,
-/// so the gate is bit-identity of all three answers (per-request, batched,
-/// direct Regressor::predict).
-Section bench_engine_session(json::Writer& w, const data::Dataset& full,
-                             const data::Dataset& train, bool fast) {
-  engine::ModelRegistry registry;
-  {
-    std::unique_ptr<ml::Regressor> model = ml::make_model("LR-B").make();
-    model->fit(train);
-    registry.register_model(
-        "bench", std::shared_ptr<const ml::Regressor>(std::move(model)),
-        engine::Schema::of(train), "bench");
-  }
-
-  const std::size_t rows = fast ? 512 : full.n_rows();
-  std::vector<std::size_t> idx(rows);
-  for (std::size_t i = 0; i < rows; ++i) idx[i] = i;
-  const data::Dataset space = full.select_rows(idx);
-
-  engine::SessionOptions sopt;
-  sopt.max_queue_rows = rows;
-  engine::InferenceSession session(registry, "bench", sopt);
-
-  std::vector<double> per_request(rows);
-  const double per_request_s = time_per_call([&] {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t one[] = {r};
-      per_request[r] = session.predict(space.select_rows(one)).front();
-    }
-  });
-  std::vector<double> batched;
-  const double batched_s =
-      time_per_call([&] { batched = session.predict(space); });
-  const std::vector<double> direct =
-      registry.get("bench")->model->predict(space);
-
-  constexpr std::size_t kLookups = 4096;
-  const double lookup_batch_s = time_per_call([&] {
-    for (std::size_t i = 0; i < kLookups; ++i) {
-      if (registry.get("bench")->version == 0) return;  // never taken
-    }
-  });
-
-  Section s;
-  s.name = "engine_session";
-  s.reference_ms = per_request_s * 1e3;
-  s.optimized_ms = batched_s * 1e3;
-  s.max_diff = std::max(max_abs_diff(per_request, batched),
-                        max_abs_diff(batched, direct));
-  s.equivalent =
-      bitwise_equal(per_request, batched) && bitwise_equal(batched, direct);
-
-  w.key("engine_session").begin_object();
-  w.field("rows", rows);
-  w.field("per_request_ms", s.reference_ms);
-  w.field("batched_ms", s.optimized_ms);
-  w.field("per_request_rows_per_sec",
-          static_cast<double>(rows) / per_request_s);
-  w.field("batched_rows_per_sec", static_cast<double>(rows) / batched_s);
-  w.field("registry_lookups_per_sec",
-          static_cast<double>(kLookups) / lookup_batch_s);
   w.field("speedup", s.speedup());
   w.field("bit_identical", s.equivalent);
   w.end_object();
@@ -721,7 +647,6 @@ int run(const BenchOptions& options, std::ostream& out, std::ostream& err) {
   const data::Dataset train = full.select_rows(sample_idx);
 
   sections.push_back(bench_lr_predict(w, full, train));
-  sections.push_back(bench_engine_session(w, full, train, options.fast));
   sections.push_back(bench_estimate_error(w, train, options.fast));
   sections.push_back(bench_select_fit(w, train, options.fast));
   sections.push_back(bench_dse_sampler(w, full, options.fast));

@@ -556,20 +556,28 @@ int cmd_worker(const Options& opt, std::ostream& err) {
     names = load_model_specs(registry, *models, "worker");
   }
 
+  // Supervised workers share one stderr and start and stop together: each
+  // line is formatted first and written once, so lines from different
+  // workers stay whole.
   fleet::Worker worker(registry, options);
-  err << "fleet worker pid " << ::getpid() << " listening on "
-      << options.server.bind_address << ":" << worker.port();
-  if (!names.empty()) err << " serving " << strings::join(names, ", ");
-  err << "\n";
+  std::ostringstream line;
+  line << "fleet worker pid " << ::getpid() << " listening on "
+       << options.server.bind_address << ":" << worker.port();
+  if (!names.empty()) line << " serving " << strings::join(names, ", ");
+  line << "\n";
+  err << line.str();
   err.flush();
   run_until_signal(worker);
 
   const fleet::WorkerSummary summary = worker.summary();
-  err << "worker done: " << summary.pings << " ping(s), " << summary.shards
-      << " shard(s), " << summary.model_loads << " model load(s), "
-      << summary.errors << " error(s); " << summary.server.closed
-      << " connection(s) closed, " << summary.server.idle_closed
-      << " idle-closed\n";
+  line.str("");
+  line << "worker done: " << summary.pings << " ping(s), " << summary.shards
+       << " shard(s), " << summary.model_loads << " model load(s), "
+       << summary.errors << " error(s); " << summary.server.closed
+       << " connection(s) closed, " << summary.server.idle_closed
+       << " idle-closed\n";
+  err << line.str();
+  err.flush();
   return 0;
 }
 
