@@ -1,17 +1,17 @@
 // Minimal JSON support: a streaming writer and a small recursive-descent
 // parser.
 //
-// The perf-bench harness (`dsml bench --json`) emits machine-readable
-// BENCH_ML.json artifacts and re-reads committed ones to gate on error
-// drift, so we need both directions but only for plain data: objects,
-// arrays, numbers, strings, booleans, null. No external dependency is worth
-// that little surface.
+// The serve and fleet protocols parse requests and write responses, and
+// `dsml loadgen` writes its report and re-reads the committed
+// BENCH_SERVE.json to gate on it, so we need both directions but only for
+// plain data: objects, arrays, numbers, strings, booleans, null. No
+// external dependency is worth that little surface.
 //
 // Writer output is deterministic (insertion order, fixed indentation,
 // round-trippable '%.17g' numbers). JSON has no NaN/Inf literal, so
 // non-finite doubles are emitted as the string sentinels "NaN", "Infinity",
 // and "-Infinity", which the Parser maps back to number values — a
-// non-finite bench entry round-trips as a (non-finite) number instead of
+// non-finite report entry round-trips as a (non-finite) number instead of
 // silently becoming null. Those three strings are therefore reserved as
 // values; writing them via value(std::string_view) round-trips as numbers.
 #pragma once

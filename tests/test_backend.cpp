@@ -108,32 +108,39 @@ TEST(Backend, SimdVariantConsistentWithAvailability) {
 // Shapes chosen to cover every vector-lane remainder: widths 1..5 straddle
 // the SSE2 (2-lane) and AVX2 (4-lane) double widths, 64/65 exercise full
 // blocks plus a trailing element, and the zero planted in A exercises the
-// sparsity skip in every GEMM path.
+// sparsity skip in every GEMM path. The last shape puts B past
+// kCacheResidentBytes (600*300*8 = 1.44 MiB), so the blocked and simd
+// backends take the depth-split tiling the smaller shapes never enter.
 TEST(Backend, GemmBitIdenticalAcrossBackends) {
   Rng rng(11);
+  const auto check = [&](std::size_t m, std::size_t k, std::size_t n) {
+    Matrix a(m, k);
+    Matrix b(k, n);
+    for (double& v : a.data()) v = rng.uniform(-2.0, 2.0);
+    for (double& v : b.data()) v = rng.uniform(-2.0, 2.0);
+    a.data()[(m * k) / 2] = 0.0;
+    std::vector<std::vector<double>> results;
+    for (Backend backend : kAll) {
+      ScopedBackend pin(backend);
+      Matrix c(m, n);
+      kernels::gemm_accumulate(a.data().data(), k, b.data().data(), n,
+                               c.data().data(), n, m, k, n);
+      results.emplace_back(c.data().begin(), c.data().end());
+    }
+    ASSERT_TRUE(same_bits(results[0], results[1]))
+        << "naive vs blocked at " << m << "x" << k << "x" << n;
+    ASSERT_TRUE(same_bits(results[0], results[2]))
+        << "naive vs simd at " << m << "x" << k << "x" << n;
+  };
   for (std::size_t m : {1ul, 3ul, 5ul, 65ul}) {
     for (std::size_t k : {1ul, 7ul, 33ul}) {
       for (std::size_t n : {1ul, 2ul, 3ul, 4ul, 5ul, 9ul, 64ul}) {
-        Matrix a(m, k);
-        Matrix b(k, n);
-        for (double& v : a.data()) v = rng.uniform(-2.0, 2.0);
-        for (double& v : b.data()) v = rng.uniform(-2.0, 2.0);
-        a.data()[(m * k) / 2] = 0.0;
-        std::vector<std::vector<double>> results;
-        for (Backend backend : kAll) {
-          ScopedBackend pin(backend);
-          Matrix c(m, n);
-          kernels::gemm_accumulate(a.data().data(), k, b.data().data(), n,
-                                   c.data().data(), n, m, k, n);
-          results.emplace_back(c.data().begin(), c.data().end());
-        }
-        ASSERT_TRUE(same_bits(results[0], results[1]))
-            << "naive vs blocked at " << m << "x" << k << "x" << n;
-        ASSERT_TRUE(same_bits(results[0], results[2]))
-            << "naive vs simd at " << m << "x" << k << "x" << n;
+        check(m, k, n);
       }
     }
   }
+  static_assert(600 * 300 * sizeof(double) > kernels::kCacheResidentBytes);
+  check(70, 600, 300);
 }
 
 TEST(Backend, GemvBitIdenticalAcrossBackends) {

@@ -129,6 +129,8 @@ TEST_F(CliTest, HelpSucceeds) {
   const auto result = run_cli({"help"});
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.out.find("commands:"), std::string::npos);
+  EXPECT_NE(result.out.find("--trace F"), std::string::npos);
+  EXPECT_NE(result.out.find("stats"), std::string::npos);
 }
 
 TEST_F(CliTest, LintSubcommandListsRules) {
@@ -234,6 +236,16 @@ TEST_F(CliTest, ChronoOutputIsByteIdenticalToTheSeedGolden) {
   const auto result = run_cli({"chrono", "--family", "pd"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_EQ(result.out, read_golden("chrono_golden.txt"));
+}
+
+TEST_F(CliTest, ChronoXeonMatchesTheTable3Golden) {
+  // The Table-3 model errors on the Xeon family: every LR variant and the
+  // quick NN, pinned to the printed two decimals (identical at any thread
+  // count and under every linalg backend).
+  const auto result = run_cli(
+      {"chrono", "--family", "xeon", "--models", "LR-E,LR-S,LR-F,LR-B,NN-Q"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_EQ(result.out, read_golden("chrono_xeon_golden.txt"));
 }
 
 TEST_F(CliTest, AdaptiveCampaignMatchesItsGoldenCleanAndDegraded) {
@@ -377,7 +389,6 @@ TEST_F(CliTest, UnknownFlagsNameTheFlagAndTheCommand) {
       {{"list", "--verbose", "1"}, "unknown flag --verbose for list"},
       {{"predict", "--model", "m.dsml", "--rows", "3"},
        "unknown flag --rows for predict"},
-      {{"bench", "--fats"}, "unknown flag --fats for bench"},
   };
   for (const auto& c : cases) {
     const auto result = run_cli(c.args);
@@ -386,6 +397,13 @@ TEST_F(CliTest, UnknownFlagsNameTheFlagAndTheCommand) {
     EXPECT_EQ(result.out, "") << c.expect;
   }
   EXPECT_FALSE(std::filesystem::exists("never.csv"));
+
+  // The retired perf harness is an unknown command, not a silent no-op.
+  const auto bench = run_cli({"bench", "--fast"});
+  EXPECT_EQ(bench.exit_code, 1);
+  EXPECT_NE(bench.err.find("unknown command 'bench'"), std::string::npos)
+      << bench.err;
+  EXPECT_EQ(bench.out, "");
 }
 
 TEST_F(CliTest, ChronoExperimentRuns) {
@@ -518,6 +536,9 @@ TEST_F(CliTest, UsageMentionsBackendFlag) {
   // The removed float32 and batch-size serve flags stay out of the usage.
   EXPECT_EQ(result.out.find("--f32"), std::string::npos);
   EXPECT_EQ(result.out.find("--batch"), std::string::npos);
+  // So does the retired perf harness and its --fast flag.
+  EXPECT_EQ(result.out.find("  bench "), std::string::npos);
+  EXPECT_EQ(result.out.find("--fast"), std::string::npos);
 }
 
 TEST_F(CliTest, StatsDumpsMetricsRegistry) {
@@ -879,14 +900,19 @@ TEST_F(CliTest, LoadgenDrivesAServerAndGatesOnItsOwnReport) {
   std::filesystem::remove(report_path);
 }
 
-TEST_F(CliTest, BareFastFlagIsBoolean) {
-  // `--fast` with no value parses as "--fast 1"; the sweep cache dir is
-  // throwaway so the fast bench's tiny workload stays quick. We only check
-  // it is accepted (exit code depends on perf, so just require it ran).
-  const auto result = run_cli({"help"});
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.out.find("--trace F"), std::string::npos);
-  EXPECT_NE(result.out.find("stats"), std::string::npos);
+TEST_F(CliTest, BareTruthFlagIsBoolean) {
+  // A bare `--truth` parses as "--truth 1" and does not swallow the next
+  // token, so the misspelt flag after it is still the one reported; an
+  // explicit 0/1 value is consumed as the flag's value.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"dse", "--truth", "--modles", "LR-B"},
+        std::vector<std::string>{"dse", "--truth", "0", "--modles", "LR-B"}}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 1);
+    EXPECT_NE(result.err.find("unknown flag --modles for dse"),
+              std::string::npos)
+        << result.err;
+  }
 }
 
 }  // namespace

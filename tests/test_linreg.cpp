@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
+#include "data/encoder.hpp"
 #include "ml/metrics.hpp"
 
 namespace dsml::ml {
@@ -237,6 +239,69 @@ TEST(LinearRegression, CategoricalOrderedUsedUnorderedDropped) {
   EXPECT_EQ(std::find(selected.begin(), selected.end(), "vendor"),
             selected.end());
   EXPECT_LT(mape(model.predict(ds), ds.target()), 3.0);
+}
+
+TEST(LinearRegression, PredictMatchesEncodeSelectMultiply) {
+  // predict() fuses the column selection into its GEMV (dense for a prefix
+  // selection, a gather for a sparse one); either way it must equal,
+  // bit for bit, the plain pipeline: encode, materialise the selected
+  // columns, multiply by beta. 1500 rows span several of predict's 512-row
+  // chunks. The distractor d sits between the two true predictors, so
+  // dropping it leaves a non-prefix selection.
+  Rng rng(97);
+  const std::size_t n = 1500;
+  std::vector<double> x1(n);
+  std::vector<double> d(n);
+  std::vector<double> x2(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x1[i] = rng.uniform(0.0, 10.0);
+    d[i] = rng.uniform(0.0, 10.0);
+    x2[i] = rng.uniform(0.0, 10.0);
+    y[i] = 100.0 + 2.0 * x1[i] - 1.5 * x2[i] + rng.gaussian(0.0, 1.0);
+  }
+  data::Dataset full;
+  full.add_feature(data::Column::numeric("x1", std::move(x1)));
+  full.add_feature(data::Column::numeric("d", std::move(d)));
+  full.add_feature(data::Column::numeric("x2", std::move(x2)));
+  full.set_target("y", std::move(y));
+  std::vector<std::size_t> sample;
+  for (std::size_t i = 0; i < n; i += 10) sample.push_back(i);
+  const data::Dataset train = full.select_rows(sample);
+
+  // LinearRegression's own encoder settings, rebuilt from public pieces.
+  data::EncoderOptions enc;
+  enc.mode = data::EncodingMode::kLinearRegression;
+  enc.scale_inputs = true;
+  enc.scale_target = false;
+  enc.drop_constant = true;
+  enc.add_intercept = true;
+  data::Encoder encoder;
+  encoder.fit(train, enc);
+  const linalg::Matrix x = encoder.encode(full);
+
+  for (const LinRegMethod method :
+       {LinRegMethod::kEnter, LinRegMethod::kBackward}) {
+    LinearRegression::Options opt;
+    opt.method = method;
+    LinearRegression model(opt);
+    model.fit(train);
+    const std::vector<std::size_t>& cols = model.ols().columns;
+    bool prefix = true;
+    for (std::size_t k = 0; k < cols.size(); ++k) prefix &= cols[k] == k;
+    // Enter keeps every column (the dense path); backward elimination
+    // drops the distractor (the gather path).
+    EXPECT_EQ(prefix, method == LinRegMethod::kEnter) << to_string(method);
+
+    const std::vector<double> expected =
+        x.select_columns(cols).multiply(model.ols().beta);
+    const std::vector<double> got = model.predict(full);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << to_string(method);
+  }
 }
 
 }  // namespace

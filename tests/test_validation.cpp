@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "data/split.hpp"
 #include "ml/linreg.hpp"
 #include "ml/metrics.hpp"
+#include "ml/model_zoo.hpp"
 #include "ml/nn_models.hpp"
 
 namespace dsml::ml {
@@ -43,6 +46,21 @@ class BadModel final : public Regressor {
     return std::vector<double>(ds.n_rows(), 1.0);
   }
   std::string name() const override { return "Bad"; }
+  bool fitted() const noexcept override { return fitted_; }
+
+ private:
+  bool fitted_ = false;
+};
+
+/// A perfect model: predicts each row's own target, so every fold of every
+/// seed scores exactly 0 and two of them tie.
+class OracleModel final : public Regressor {
+ public:
+  void fit(const data::Dataset&) override { fitted_ = true; }
+  std::vector<double> predict(const data::Dataset& ds) const override {
+    return {ds.target().begin(), ds.target().end()};
+  }
+  std::string name() const override { return "Oracle"; }
   bool fitted() const noexcept override { return fitted_; }
 
  private:
@@ -150,6 +168,48 @@ TEST(SelectModel, ExposesPerCandidateEstimates) {
   EXPECT_LT(select.estimates()[0].maximum, select.estimates()[1].maximum);
   EXPECT_DOUBLE_EQ(select.chosen_estimate().maximum,
                    select.estimates()[0].maximum);
+}
+
+TEST(SelectModel, MatchesTheSerialCandidateLoop) {
+  // Select scores its candidates across the thread pool; each candidate i
+  // must still get exactly the estimate a serial loop computes with seed
+  // seed + i, and the winner must be the first minimum of the maxima.
+  const data::Dataset train = make_linear_data(120, 11);
+  ZooOptions zoo;
+  zoo.nn_epoch_scale = 0.1;
+  ValidationOptions opt;
+  opt.seed = 4321;
+  const NamedModel oracle{"Oracle", []() -> std::unique_ptr<Regressor> {
+                            return std::make_unique<OracleModel>();
+                          }};
+  // The second menu holds two tied perfect candidates: the first must win.
+  const std::vector<std::vector<NamedModel>> menus = {
+      {make_model("LR-E", zoo), make_model("LR-B", zoo),
+       make_model("NN-S", zoo)},
+      {make_model("LR-E", zoo), make_model("NN-S", zoo), oracle,
+       {"Oracle-2", oracle.make}}};
+  for (const std::vector<NamedModel>& menu : menus) {
+    SelectModel select(menu, opt);
+    select.fit(train);
+    ASSERT_EQ(select.estimates().size(), menu.size());
+    std::size_t best = 0;
+    double best_maximum = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < menu.size(); ++i) {
+      ValidationOptions serial = opt;
+      serial.seed = opt.seed + i;
+      const ErrorEstimate expected =
+          estimate_error(menu[i].make, train, serial);
+      const ErrorEstimate& got = select.estimates()[i];
+      EXPECT_EQ(got.folds, expected.folds) << menu[i].name;
+      EXPECT_EQ(got.average, expected.average) << menu[i].name;
+      EXPECT_EQ(got.maximum, expected.maximum) << menu[i].name;
+      if (expected.maximum < best_maximum) {
+        best_maximum = expected.maximum;
+        best = i;
+      }
+    }
+    EXPECT_EQ(select.chosen_name(), menu[best].name);
+  }
 }
 
 TEST(SelectModel, UnfittedBehaviour) {

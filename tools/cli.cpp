@@ -17,7 +17,6 @@
 #include <sstream>
 #include <thread>
 
-#include "bench_ml.hpp"
 #include "common/atomic_io.hpp"
 #include "common/csv.hpp"
 #include "common/failpoint.hpp"
@@ -98,7 +97,6 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"loadgen",
      {"connect", "connections", "requests", "rows", "model", "json", "check",
       "timeout-ms"}},
-    {"bench", {"json", "check", "fast"}},
 };
 
 Options parse_options(const std::vector<std::string>& args,
@@ -111,10 +109,10 @@ Options parse_options(const std::vector<std::string>& args,
       if (!flags.count(key)) {
         throw InvalidArgument("unknown flag " + a + " for " + args[0]);
       }
-      // Boolean flags may appear bare ("--fast" == "--fast 1"), so
-      // `bench --fast --trace t.json` reads naturally; every other flag
+      // Boolean flags may appear bare ("--truth" == "--truth 1"), so
+      // `dse --truth --models LR-B` reads naturally; every other flag
       // still requires an explicit value.
-      static const std::set<std::string> kBooleanFlags = {"fast", "truth"};
+      static const std::set<std::string> kBooleanFlags = {"truth"};
       if (kBooleanFlags.count(key)) {
         if (i + 1 < args.size() &&
             (args[i + 1] == "0" || args[i + 1] == "1")) {
@@ -893,14 +891,6 @@ int cmd_loadgen(const Options& opt, std::ostream& out, std::ostream& err) {
   return loadgen::run(options, out, err);
 }
 
-int cmd_bench(const Options& opt, std::ostream& out, std::ostream& err) {
-  bench_ml::BenchOptions options;
-  options.json_path = opt.get_or("json", "");
-  options.check_path = opt.get_or("check", "");
-  options.fast = opt.get_or("fast", "0") == "1";
-  return bench_ml::run(options, out, err);
-}
-
 /// `dsml stats [--json F] [command args...]`: runs the nested command (if
 /// any), then dumps the metrics registry — the aggregate work counters the
 /// pipeline reported while the command ran.
@@ -976,7 +966,6 @@ std::string usage() {
       "          [--model N] [--json F] [--check F] [--timeout-ms N]\n"
       "                                    drive a --listen server, report\n"
       "                                    latency percentiles + rows/sec\n"
-      "  bench   [--json F] [--check F] [--fast 1]   ML perf bench + JSON report\n"
       "  stats   [--json F] [command...]   run command, dump metrics registry\n"
       "  lint    [--list-rules] [--graph dot|json] [--sarif F]\n"
       "          [--update-registries] [--no-cache] [--root D] [path...]\n"
@@ -1023,8 +1012,7 @@ int dispatch(const std::vector<std::string>& args, std::istream& in,
   if (cmd == "worker") return cmd_worker(opt, err);
   if (cmd == "dse") return cmd_dse(opt, out);
   if (cmd == "fleet") return cmd_fleet(opt, out, err);
-  if (cmd == "loadgen") return cmd_loadgen(opt, out, err);
-  return cmd_bench(opt, out, err);
+  return cmd_loadgen(opt, out, err);
 }
 
 /// Removes the first `flag VALUE` pair from `args` and returns VALUE (the
