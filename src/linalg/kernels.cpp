@@ -86,7 +86,7 @@ void gemv_scalar(const double* a, std::size_t lda, std::size_t m,
                  std::size_t n, const double* x, double* y) {
   for (std::size_t i = 0; i < m; ++i) {
     const double* arow = a + i * lda;
-    double s = 0.0;
+    double s = y[i];
     for (std::size_t j = 0; j < n; ++j) s += arow[j] * x[j];
     y[i] = s;
   }
@@ -100,6 +100,23 @@ void gemv_columns_scalar(const double* a, std::size_t lda, std::size_t m,
     double s = 0.0;
     for (std::size_t k = 0; k < n_cols; ++k) s += arow[cols[k]] * beta[k];
     y[i] = s;
+  }
+}
+
+void momentum_update_scalar(double* w, double* v, const double* mask,
+                            std::size_t ld, std::size_t m, std::size_t n,
+                            const double* x, const double* delta,
+                            double learning_rate, double momentum) {
+  for (std::size_t i = 0; i < m; ++i) {
+    double* wrow = w + i * ld;
+    double* vrow = v + i * ld;
+    const double* mrow = mask + i * ld;
+    const double s = learning_rate * delta[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      if (mrow[j] == 0.0) continue;
+      vrow[j] = momentum * vrow[j] - s * x[j];
+      wrow[j] += vrow[j];
+    }
   }
 }
 
@@ -119,6 +136,9 @@ struct KernelTable {
   void (*gemv_columns)(const double*, std::size_t, std::size_t,
                        const std::size_t*, std::size_t, const double*,
                        double*);
+  void (*momentum_update)(double*, double*, const double*, std::size_t,
+                          std::size_t, std::size_t, const double*,
+                          const double*, double, double);
 };
 
 void gemm_naive(const double* a, std::size_t lda, const double* b,
@@ -151,11 +171,22 @@ void gemv_columns_simd(const double* a, std::size_t lda, std::size_t m,
   detail::selected_simd_ops()->gemv_columns(a, lda, m, cols, n_cols, beta, y);
 }
 
+void momentum_update_simd(double* w, double* v, const double* mask,
+                          std::size_t ld, std::size_t m, std::size_t n,
+                          const double* x, const double* delta,
+                          double learning_rate, double momentum) {
+  detail::selected_simd_ops()->momentum_update(w, v, mask, ld, m, n, x, delta,
+                                               learning_rate, momentum);
+}
+
 constexpr KernelTable kNaiveTable = {gemm_naive, gemv_scalar,
-                                     gemv_columns_scalar};
+                                     gemv_columns_scalar,
+                                     momentum_update_scalar};
 constexpr KernelTable kBlockedTable = {gemm_blocked, gemv_scalar,
-                                       gemv_columns_scalar};
-constexpr KernelTable kSimdTable = {gemm_simd, gemv_simd, gemv_columns_simd};
+                                       gemv_columns_scalar,
+                                       momentum_update_scalar};
+constexpr KernelTable kSimdTable = {gemm_simd, gemv_simd, gemv_columns_simd,
+                                    momentum_update_simd};
 
 const KernelTable& table_for(Backend backend) {
   switch (backend) {
@@ -216,6 +247,14 @@ void gemv_columns(const double* a, std::size_t lda, std::size_t m,
                   const std::size_t* cols, std::size_t n_cols,
                   const double* beta, double* y) {
   active_table().gemv_columns(a, lda, m, cols, n_cols, beta, y);
+}
+
+void momentum_update(double* w, double* v, const double* mask, std::size_t ld,
+                     std::size_t m, std::size_t n, const double* x,
+                     const double* delta, double learning_rate,
+                     double momentum) {
+  active_table().momentum_update(w, v, mask, ld, m, n, x, delta,
+                                 learning_rate, momentum);
 }
 
 void affine_forward(const double* x, std::size_t ldx, std::size_t rows,

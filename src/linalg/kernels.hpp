@@ -105,7 +105,10 @@ void gemm_accumulate_reference(const double* a, std::size_t lda,
 void transpose(const double* a, std::size_t lda, std::size_t rows,
                std::size_t cols, double* out, std::size_t ldo);
 
-/// y[i] = sum_j a(i, j) * x[j], j ascending (same reduction order as dot()).
+/// y[i] = y[i] + sum_j a(i, j) * x[j]: accumulates into y the way
+/// gemm_accumulate accumulates into C, starting from y[i] and adding the
+/// terms in ascending j (same reduction order as dot()). Zero y for a plain
+/// product; seed it with a bias for `z = b[i]; z += w(i, j) * x[j]`.
 void gemv(const double* a, std::size_t lda, std::size_t m, std::size_t n,
           const double* x, double* y);
 
@@ -115,6 +118,16 @@ void gemv(const double* a, std::size_t lda, std::size_t m, std::size_t n,
 void gemv_columns(const double* a, std::size_t lda, std::size_t m,
                   const std::size_t* cols, std::size_t n_cols,
                   const double* beta, double* y);
+
+/// One masked SGD-with-momentum step over the m x n row-major block w, with
+/// velocities v and mask `mask` of the same shape and leading dimension ld.
+/// Row i steps by s = learning_rate * delta[i]; for each j with
+/// mask(i, j) != 0.0: v(i, j) = momentum * v(i, j) - s * x[j], then
+/// w(i, j) += v(i, j). Masked elements keep their bits whatever x[j] holds.
+void momentum_update(double* w, double* v, const double* mask, std::size_t ld,
+                     std::size_t m, std::size_t n, const double* x,
+                     const double* delta, double learning_rate,
+                     double momentum);
 
 /// One batched dense layer: out(rows x fan_out) = act(x(rows x fan_in) * wT
 /// + bias), where w is the fan_out x fan_in row-major weight matrix and act

@@ -50,7 +50,7 @@ Matrix Matrix::multiply(const Matrix& other) const {
 
 Vector Matrix::multiply(std::span<const double> v) const {
   DSML_REQUIRE(v.size() == cols_, "Matrix::multiply: vector size mismatch");
-  Vector out(rows_, 0.0);
+  Vector out(rows_, 0.0);  // gemv accumulates into out
   kernels::gemv(data_.data(), cols_, rows_, cols_, v.data(), out.data());
   return out;
 }

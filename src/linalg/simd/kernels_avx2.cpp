@@ -46,8 +46,9 @@ void gemm_row_block_avx2(const double* a, std::size_t lda, const double* b,
 
 // gemv is a per-row serial reduction, so vectorizing within a row would
 // change the summation tree. Instead each lane owns one whole row: lane L
-// accumulates a[i+L][j] * x[j] with j ascending, mul then add — the same
-// rounding sequence as the scalar kernel, four rows per pass.
+// starts from y[i+L] and accumulates a[i+L][j] * x[j] with j ascending, mul
+// then add — the same rounding sequence as the scalar kernel, four rows per
+// pass.
 void gemv_avx2(const double* a, std::size_t lda, std::size_t m, std::size_t n,
                const double* x, double* y) {
   std::size_t i = 0;
@@ -56,7 +57,7 @@ void gemv_avx2(const double* a, std::size_t lda, std::size_t m, std::size_t n,
     const double* r1 = r0 + lda;
     const double* r2 = r1 + lda;
     const double* r3 = r2 + lda;
-    __m256d acc = _mm256_setzero_pd();
+    __m256d acc = _mm256_loadu_pd(y + i);
     for (std::size_t j = 0; j < n; ++j) {
       const __m256d av = _mm256_set_pd(r3[j], r2[j], r1[j], r0[j]);
       const __m256d xv = _mm256_set1_pd(x[j]);
@@ -66,7 +67,7 @@ void gemv_avx2(const double* a, std::size_t lda, std::size_t m, std::size_t n,
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
-    double s = 0.0;
+    double s = y[i];
     for (std::size_t j = 0; j < n; ++j) s += arow[j] * x[j];
     y[i] = s;
   }
@@ -100,8 +101,46 @@ void gemv_columns_avx2(const double* a, std::size_t lda, std::size_t m,
   }
 }
 
+// Every element of a row is independent, so the lanes run across j. The
+// mask test becomes a compare (NEQ_UQ: a NaN mask is set, as the scalar
+// `!= 0.0` has it) and a blend that keeps the old w and v of masked lanes,
+// whose freshly computed values (NaN when x[j] is) are discarded.
+void momentum_update_avx2(double* w, double* v, const double* mask,
+                          std::size_t ld, std::size_t m, std::size_t n,
+                          const double* x, const double* delta,
+                          double learning_rate, double momentum) {
+  const __m256d mom = _mm256_set1_pd(momentum);
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < m; ++i) {
+    double* wrow = w + i * ld;
+    double* vrow = v + i * ld;
+    const double* mrow = mask + i * ld;
+    const double s = learning_rate * delta[i];
+    const __m256d sv = _mm256_set1_pd(s);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const __m256d on =
+          _mm256_cmp_pd(_mm256_loadu_pd(mrow + j), zero, _CMP_NEQ_UQ);
+      const __m256d v_old = _mm256_loadu_pd(vrow + j);
+      const __m256d w_old = _mm256_loadu_pd(wrow + j);
+      const __m256d v_new =
+          _mm256_sub_pd(_mm256_mul_pd(mom, v_old),
+                        _mm256_mul_pd(sv, _mm256_loadu_pd(x + j)));
+      const __m256d w_new = _mm256_add_pd(w_old, v_new);
+      _mm256_storeu_pd(vrow + j, _mm256_blendv_pd(v_old, v_new, on));
+      _mm256_storeu_pd(wrow + j, _mm256_blendv_pd(w_old, w_new, on));
+    }
+    for (; j < n; ++j) {
+      if (mrow[j] == 0.0) continue;
+      vrow[j] = momentum * vrow[j] - s * x[j];
+      wrow[j] += vrow[j];
+    }
+  }
+}
+
 constexpr SimdOps kAvx2Ops = {
     "avx2", gemm_row_block_avx2, gemv_avx2, gemv_columns_avx2,
+    momentum_update_avx2,
 };
 
 }  // namespace

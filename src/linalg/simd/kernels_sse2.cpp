@@ -1,7 +1,7 @@
 // SSE2 kernel table — the fallback vector backend for x86 CPUs without
 // AVX2+FMA. Compiled with -msse2 -ffp-contract=off; the same bit-identity
-// rules as kernels_avx2.cpp apply (explicit mul then add, two lanes of
-// independent accumulation chains).
+// rules as kernels_avx2.cpp apply (explicit mul then add or subtract, two
+// lanes of independent accumulation chains).
 #include "linalg/simd/simd_kernels.hpp"
 
 #if defined(__SSE2__)
@@ -41,7 +41,7 @@ void gemv_sse2(const double* a, std::size_t lda, std::size_t m, std::size_t n,
   for (; i + 2 <= m; i += 2) {
     const double* r0 = a + i * lda;
     const double* r1 = r0 + lda;
-    __m128d acc = _mm_setzero_pd();
+    __m128d acc = _mm_loadu_pd(y + i);
     for (std::size_t j = 0; j < n; ++j) {
       const __m128d av = _mm_set_pd(r1[j], r0[j]);
       const __m128d xv = _mm_set1_pd(x[j]);
@@ -51,7 +51,7 @@ void gemv_sse2(const double* a, std::size_t lda, std::size_t m, std::size_t n,
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
-    double s = 0.0;
+    double s = y[i];
     for (std::size_t j = 0; j < n; ++j) s += arow[j] * x[j];
     y[i] = s;
   }
@@ -81,8 +81,44 @@ void gemv_columns_sse2(const double* a, std::size_t lda, std::size_t m,
   }
 }
 
+// Two lanes across j, as in momentum_update_avx2. SSE2 has no blendv, so
+// the blend is (on & new) | (~on & old); _mm_cmpneq_pd is NEQ_UQ.
+void momentum_update_sse2(double* w, double* v, const double* mask,
+                          std::size_t ld, std::size_t m, std::size_t n,
+                          const double* x, const double* delta,
+                          double learning_rate, double momentum) {
+  const __m128d mom = _mm_set1_pd(momentum);
+  const __m128d zero = _mm_setzero_pd();
+  for (std::size_t i = 0; i < m; ++i) {
+    double* wrow = w + i * ld;
+    double* vrow = v + i * ld;
+    const double* mrow = mask + i * ld;
+    const double s = learning_rate * delta[i];
+    const __m128d sv = _mm_set1_pd(s);
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+      const __m128d on = _mm_cmpneq_pd(_mm_loadu_pd(mrow + j), zero);
+      const __m128d v_old = _mm_loadu_pd(vrow + j);
+      const __m128d w_old = _mm_loadu_pd(wrow + j);
+      const __m128d v_new = _mm_sub_pd(_mm_mul_pd(mom, v_old),
+                                       _mm_mul_pd(sv, _mm_loadu_pd(x + j)));
+      const __m128d w_new = _mm_add_pd(w_old, v_new);
+      _mm_storeu_pd(vrow + j, _mm_or_pd(_mm_and_pd(on, v_new),
+                                        _mm_andnot_pd(on, v_old)));
+      _mm_storeu_pd(wrow + j, _mm_or_pd(_mm_and_pd(on, w_new),
+                                        _mm_andnot_pd(on, w_old)));
+    }
+    for (; j < n; ++j) {
+      if (mrow[j] == 0.0) continue;
+      vrow[j] = momentum * vrow[j] - s * x[j];
+      wrow[j] += vrow[j];
+    }
+  }
+}
+
 constexpr SimdOps kSse2Ops = {
     "sse2", gemm_row_block_sse2, gemv_sse2, gemv_columns_sse2,
+    momentum_update_sse2,
 };
 
 }  // namespace

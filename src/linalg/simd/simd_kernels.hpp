@@ -7,10 +7,10 @@
 // and the linalg_simd layer stays a leaf under common.
 //
 // Bit-identity contract: every operation pairs an explicit vector multiply
-// with an explicit vector add (never a fused multiply-add), vectorized across
-// *independent* output elements, so each scalar accumulation chain sees
-// exactly the same sequence of IEEE roundings as the blocked kernels in
-// kernels.cpp. The TUs are compiled with
+// with an explicit vector add or subtract (never a fused multiply-add),
+// vectorized across *independent* output elements, so each scalar
+// accumulation chain sees exactly the same sequence of IEEE roundings as the
+// scalar kernels in kernels.cpp. The TUs are compiled with
 // -ffp-contract=off so the compiler cannot re-fuse those pairs.
 #pragma once
 
@@ -32,9 +32,10 @@ struct SimdOps {
                          std::size_t i0, std::size_t i1, std::size_t k0,
                          std::size_t k1, std::size_t n);
 
-  /// y[i] = sum_j a(i, j) * x[j]. Vectorized across rows (each lane owns one
-  /// row's serial ascending-j reduction), so per-element order matches the
-  /// scalar gemv exactly.
+  /// y[i] = y[i] + sum_j a(i, j) * x[j]: the accumulator starts from y[i]
+  /// (callers zero y for a plain product). Vectorized across rows (each lane
+  /// owns one row's serial ascending-j reduction), so per-element order
+  /// matches the scalar gemv exactly.
   void (*gemv)(const double* a, std::size_t lda, std::size_t m, std::size_t n,
                const double* x, double* y);
 
@@ -43,6 +44,18 @@ struct SimdOps {
   void (*gemv_columns)(const double* a, std::size_t lda, std::size_t m,
                        const std::size_t* cols, std::size_t n_cols,
                        const double* beta, double* y);
+
+  /// Masked SGD-with-momentum step over an m x n row-major block (w, v and
+  /// mask share leading dimension ld). Row i uses s = learning_rate *
+  /// delta[i]; every element whose mask is not 0.0 (a NaN mask counts as
+  /// set) gets v = momentum * v - s * x[j], then w += v. Masked elements
+  /// keep their w and v bits whatever x[j] holds. Vectorized across j with
+  /// separate multiplies and a compare-and-blend for the mask, so each
+  /// element sees the scalar loop's roundings.
+  void (*momentum_update)(double* w, double* v, const double* mask,
+                          std::size_t ld, std::size_t m, std::size_t n,
+                          const double* x, const double* delta,
+                          double learning_rate, double momentum);
 };
 
 /// The AVX2+FMA table, or nullptr when this build carries no AVX2 TU.

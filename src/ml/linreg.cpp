@@ -338,33 +338,20 @@ std::vector<double> LinearRegression::predict(
     const data::Dataset& dataset) const {
   DSML_REQUIRE(fit_.has_value(), "LinearRegression::predict: not fitted");
   const linalg::Matrix x = encoder_.encode(dataset);
-  // Shape-aware kernel choice: the fused gather GEMV beats materialising
-  // the column subset at every sparse selection — the copy is a full extra
-  // pass over data read exactly once — but when the stepwise fit kept a
-  // *prefix* of the design (every column 0..k-1, the common Enter-method
-  // outcome) the gather indirection is pure overhead and the dense GEMV
-  // reads the design matrix in place. Both kernels accumulate each row in
-  // ascending column order, so the choice is invisible: results are
-  // bit-identical to encode -> select_columns -> multiply either way
-  // (tests/test_linreg.cpp's PredictMatchesEncodeSelectMultiply pins both
-  // shapes). Chunked over the pool for full-design-space batches.
+  // The fused gather GEMV reads each selected column in place: materialising
+  // the column subset would be a full extra pass over data read exactly
+  // once. Each row accumulates its terms in ascending column order, so the
+  // result is bit-identical to encode -> select_columns -> multiply
+  // (tests/test_linreg.cpp's PredictMatchesEncodeSelectMultiply pins it for
+  // a prefix and a sparse selection). Chunked over the pool for
+  // full-design-space batches.
   std::vector<double> out(x.rows());
-  bool prefix_selection = true;
-  for (std::size_t k = 0; k < fit_->columns.size() && prefix_selection; ++k) {
-    prefix_selection = fit_->columns[k] == k;
-  }
   constexpr std::size_t kChunk = 512;
   parallel_for_chunks(
       0, x.rows(), kChunk, [&](std::size_t b, std::size_t e) {
-        if (prefix_selection) {
-          linalg::kernels::gemv(x.row(b).data(), x.cols(), e - b,
-                                fit_->columns.size(), fit_->beta.data(),
-                                out.data() + b);
-        } else {
-          linalg::kernels::gemv_columns(
-              x.row(b).data(), x.cols(), e - b, fit_->columns.data(),
-              fit_->columns.size(), fit_->beta.data(), out.data() + b);
-        }
+        linalg::kernels::gemv_columns(
+            x.row(b).data(), x.cols(), e - b, fit_->columns.data(),
+            fit_->columns.size(), fit_->beta.data(), out.data() + b);
       });
   return out;
 }

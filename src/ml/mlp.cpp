@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
-#include "common/trace.hpp"
 #include "linalg/kernels.hpp"
 
 namespace dsml::ml {
@@ -67,13 +66,16 @@ void Mlp::forward_pass(
   }
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& layer = layers_[li];
-    const auto& in = activations[li];
     auto& out = activations[li + 1];
-    for (std::size_t i = 0; i < layer.w.rows(); ++i) {
-      double z = layer.b[i];
-      const auto wrow = layer.w.row(i);
-      for (std::size_t j = 0; j < wrow.size(); ++j) z += wrow[j] * in[j];
-      out[i] = layer.output ? z : sigmoid(z);
+    // Seeded with the bias, gemv runs each unit's chain as
+    // `z = b[i]; z += w(i, j) * in[j]` with j ascending, through the active
+    // backend (the simd one vectorizes across units, not along a chain).
+    std::copy(layer.b.begin(), layer.b.end(), out.begin());
+    linalg::kernels::gemv(layer.w.data().data(), layer.w.cols(),
+                          layer.w.rows(), layer.w.cols(),
+                          activations[li].data(), out.data());
+    if (!layer.output) {
+      for (double& z : out) z = sigmoid(z);
     }
   }
 }
@@ -157,7 +159,6 @@ double Mlp::train_epoch(const linalg::Matrix& x, std::span<const double> y,
   DSML_REQUIRE(x.rows() == y.size() && !y.empty(),
                "Mlp::train_epoch: size mismatch");
   DSML_REQUIRE(x.cols() == n_inputs_, "Mlp::train_epoch: input width mismatch");
-  trace::Span span("Mlp::train_epoch", "ml");
   static metrics::Counter& epochs = metrics::counter("ml.train_epochs");
   epochs.add();
 
@@ -206,22 +207,20 @@ double Mlp::train_epoch(const linalg::Matrix& x, std::span<const double> y,
         delta[j] = delta[j] * act[j] * (1.0 - act[j]);  // sigmoid'
       }
     }
-    // Weight updates with momentum.
+    // Weight updates with momentum; pruned weights (mask 0) stay frozen.
+    // The kernel hoists s = learning_rate * delta[i] out of each row, and
+    // s * in[j] is the product the left-to-right
+    // `learning_rate * delta[i] * in[j]` rounds.
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       Layer& layer = layers_[li];
-      const auto& in = activations[li];
       const auto& delta = deltas[li];
+      linalg::kernels::momentum_update(
+          layer.w.data().data(), layer.w_vel.data().data(),
+          layer.w_mask.data().data(), layer.w.cols(), layer.w.rows(),
+          layer.w.cols(), activations[li].data(), delta.data(), learning_rate,
+          momentum);
       for (std::size_t i = 0; i < layer.w.rows(); ++i) {
-        const double di = delta[i];
-        auto wrow = layer.w.row(i);
-        auto vrow = layer.w_vel.row(i);
-        const auto mrow = layer.w_mask.row(i);
-        for (std::size_t j = 0; j < wrow.size(); ++j) {
-          if (mrow[j] == 0.0) continue;
-          vrow[j] = momentum * vrow[j] - learning_rate * di * in[j];
-          wrow[j] += vrow[j];
-        }
-        layer.b_vel[i] = momentum * layer.b_vel[i] - learning_rate * di;
+        layer.b_vel[i] = momentum * layer.b_vel[i] - learning_rate * delta[i];
         layer.b[i] += layer.b_vel[i];
       }
     }
@@ -229,7 +228,6 @@ double Mlp::train_epoch(const linalg::Matrix& x, std::span<const double> y,
   const double mse = ss / static_cast<double>(y.size());
   static metrics::Gauge& loss = metrics::gauge("ml.train_loss");
   loss.set(mse);
-  trace::counter("ml.train_loss", mse);
   return mse;
 }
 

@@ -72,6 +72,8 @@ NeuralRegressor::Candidate NeuralRegressor::train_candidate(
     std::span<const double> y_val, std::size_t max_epochs, double lr0,
     double lr1, std::size_t patience, Rng& rng) const {
   auto attempt_once = [&](double a_lr0, double a_lr1, Rng& r) -> Candidate {
+    // One span per attempt, not per epoch, keeps trace volume bounded.
+    trace::Span span("NeuralRegressor::train_candidate", "ml");
     Mlp net(x_learn.cols(), hidden, r);
     const double scale = lr_scale(net);
     a_lr0 *= scale;
@@ -133,6 +135,7 @@ RetrainResult retrain(Mlp net, const linalg::Matrix& xl,
                       std::span<const double> yl, const linalg::Matrix& xv,
                       std::span<const double> yv, std::size_t epochs,
                       double lr0, double lr1, double momentum, Rng& rng) {
+  trace::Span span("NeuralRegressor::retrain", "ml");
   const double scale = lr_scale(net);
   lr0 *= scale;
   lr1 *= scale;

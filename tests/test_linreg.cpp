@@ -242,10 +242,9 @@ TEST(LinearRegression, CategoricalOrderedUsedUnorderedDropped) {
 }
 
 TEST(LinearRegression, PredictMatchesEncodeSelectMultiply) {
-  // predict() fuses the column selection into its GEMV (dense for a prefix
-  // selection, a gather for a sparse one); either way it must equal,
-  // bit for bit, the plain pipeline: encode, materialise the selected
-  // columns, multiply by beta. 1500 rows span several of predict's 512-row
+  // predict() fuses the column selection into its gather GEMV; for a prefix
+  // selection and a sparse one alike it must equal, bit for bit, the plain
+  // pipeline: encode, materialise the selected columns, multiply by beta. 1500 rows span several of predict's 512-row
   // chunks. The distractor d sits between the two true predictors, so
   // dropping it leaves a non-prefix selection.
   Rng rng(97);
@@ -289,8 +288,8 @@ TEST(LinearRegression, PredictMatchesEncodeSelectMultiply) {
     const std::vector<std::size_t>& cols = model.ols().columns;
     bool prefix = true;
     for (std::size_t k = 0; k < cols.size(); ++k) prefix &= cols[k] == k;
-    // Enter keeps every column (the dense path); backward elimination
-    // drops the distractor (the gather path).
+    // Enter keeps every column (a prefix); backward elimination drops the
+    // distractor (a sparse selection).
     EXPECT_EQ(prefix, method == LinRegMethod::kEnter) << to_string(method);
 
     const std::vector<double> expected =
