@@ -64,6 +64,13 @@ void Reader::expect_end() {
   }
 }
 
+void Reader::require(bool ok, const char* what) const {
+  if (!ok) {
+    throw IoError(std::string(what) + " before byte " +
+                  std::to_string(offset()));
+  }
+}
+
 void Reader::expect_tag(const std::string& expected) {
   const std::string got = token();
   if (got != expected) {

@@ -57,6 +57,11 @@ class Reader {
   /// so a concatenated/corrupted artifact cannot pass as a clean load.
   void expect_end();
 
+  /// Structural check for loaders: throws IoError("<what> before byte N")
+  /// unless `ok`. A stream can parse token by token and still describe a
+  /// model that would index out of bounds at its first predict.
+  void require(bool ok, const char* what) const;
+
   /// Current byte offset in the stream (best effort: -1 if the stream does
   /// not support tellg). Reported in every truncation/garbage IoError so a
   /// corrupt artifact can be inspected with `xxd -s <offset>`.

@@ -168,49 +168,6 @@ double incomplete_beta(double a, double b, double x) {
   return 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
 }
 
-double incomplete_gamma_p(double a, double x) {
-  DSML_REQUIRE(a > 0.0, "incomplete_gamma_p: a must be positive");
-  DSML_REQUIRE(x >= 0.0, "incomplete_gamma_p: x must be non-negative");
-  if (x == 0.0) return 0.0;
-  if (x < a + 1.0) {
-    // Series representation.
-    double ap = a;
-    double sum = 1.0 / a;
-    double del = sum;
-    for (int n = 0; n < 500; ++n) {
-      ap += 1.0;
-      del *= x / ap;
-      sum += del;
-      if (std::abs(del) < std::abs(sum) * 3.0e-14) {
-        return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
-      }
-    }
-    throw NumericalError("incomplete_gamma_p: series did not converge");
-  }
-  // Continued fraction for Q(a,x), then P = 1 - Q.
-  constexpr double kFpMin = 1.0e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / kFpMin;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::abs(d) < kFpMin) d = kFpMin;
-    c = b + an / c;
-    if (std::abs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::abs(del - 1.0) < 3.0e-14) {
-      const double q = std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
-      return 1.0 - q;
-    }
-  }
-  throw NumericalError("incomplete_gamma_p: continued fraction diverged");
-}
-
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_quantile(double p) {
@@ -261,23 +218,6 @@ double student_t_cdf(double t, double nu) {
 double t_test_p_value(double t, double nu) {
   const double x = nu / (nu + t * t);
   return incomplete_beta(nu / 2.0, 0.5, x);
-}
-
-double f_cdf(double f, double d1, double d2) {
-  DSML_REQUIRE(d1 > 0.0 && d2 > 0.0, "f_cdf: dof must be positive");
-  if (f <= 0.0) return 0.0;
-  const double x = d1 * f / (d1 * f + d2);
-  return incomplete_beta(d1 / 2.0, d2 / 2.0, x);
-}
-
-double f_test_p_value(double f, double d1, double d2) {
-  return 1.0 - f_cdf(f, d1, d2);
-}
-
-double chi_squared_cdf(double x, double k) {
-  DSML_REQUIRE(k > 0.0, "chi_squared_cdf: k must be positive");
-  if (x <= 0.0) return 0.0;
-  return incomplete_gamma_p(k / 2.0, x / 2.0);
 }
 
 // ---------------------------------------------------------------------------

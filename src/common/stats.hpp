@@ -1,6 +1,8 @@
-// Descriptive statistics and the statistical distributions needed by the
-// regression-inference machinery (partial-F tests for stepwise selection,
-// t-statistics for coefficient significance).
+// Descriptive statistics and the Student-t distribution behind the
+// regression-inference machinery: stepwise selection and coefficient
+// significance both use two-sided t-test p-values, which equal the partial-F
+// p-values of a one-predictor change (F = t^2 with one numerator degree of
+// freedom).
 #pragma once
 
 #include <cstddef>
@@ -58,9 +60,6 @@ double log_gamma(double x);
 /// evaluation (Numerical-Recipes-style). Domain: a,b > 0, x in [0,1].
 double incomplete_beta(double a, double b, double x);
 
-/// Regularized lower incomplete gamma P(a, x).
-double incomplete_gamma_p(double a, double x);
-
 /// Standard normal CDF.
 double normal_cdf(double z);
 
@@ -71,18 +70,9 @@ double normal_quantile(double p);
 /// Student-t CDF with nu degrees of freedom.
 double student_t_cdf(double t, double nu);
 
-/// Two-sided p-value for a t statistic with nu degrees of freedom.
+/// Two-sided p-value for a t statistic with nu degrees of freedom (the
+/// stepwise entry/removal and coefficient-significance test).
 double t_test_p_value(double t, double nu);
-
-/// F-distribution CDF with (d1, d2) degrees of freedom.
-double f_cdf(double f, double d1, double d2);
-
-/// Upper-tail p-value for an F statistic (used by partial-F entry/removal
-/// tests in stepwise regression).
-double f_test_p_value(double f, double d1, double d2);
-
-/// Chi-squared CDF with k degrees of freedom.
-double chi_squared_cdf(double x, double k);
 
 // ---------------------------------------------------------------------------
 // Streaming accumulator

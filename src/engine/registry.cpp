@@ -1,11 +1,9 @@
 #include "engine/registry.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
-#include "common/serial.hpp"
 #include "common/trace.hpp"
 #include "ml/serialize.hpp"
 
@@ -19,8 +17,6 @@ struct RegistryMetrics {
   metrics::Counter& lookups = metrics::counter("registry.lookups");
   metrics::Counter& misses = metrics::counter("registry.misses");
   metrics::Counter& loads = metrics::counter("registry.loads");
-  metrics::Counter& snapshot_loads =
-      metrics::counter("registry.snapshot_loads");
 };
 
 RegistryMetrics& registry_metrics() {
@@ -84,66 +80,6 @@ std::uint64_t ModelRegistry::load_file(const std::string& name,
   std::shared_ptr<const ml::Regressor> model = ml::load_model(path);
   return register_model(name, std::move(model), std::move(schema),
                         "file:" + path);
-}
-
-std::string ModelRegistry::serialize_entry(const std::string& name) const {
-  const std::shared_ptr<const ModelEntry> entry = get(name);
-  trace::Span span([&] { return "registry.snapshot " + name; }, "engine");
-  std::ostringstream out;
-  serial::Writer w(out);
-  w.tag("registry-snapshot");
-  w.u64(1);  // snapshot format version
-  const std::vector<SchemaColumn>& columns = entry->schema.columns();
-  w.u64(columns.size());
-  for (const SchemaColumn& c : columns) {
-    w.str(c.name);
-    w.u64(static_cast<std::uint64_t>(c.kind));
-    w.boolean(c.ordered);
-    w.u64(c.levels.size());
-    for (const std::string& level : c.levels) w.str(level);
-  }
-  w.tag("model");
-  ml::save_model(*entry->model, out);
-  return out.str();
-}
-
-std::uint64_t ModelRegistry::register_snapshot(const std::string& name,
-                                               const std::string& blob,
-                                               std::string source) {
-  trace::Span span([&] { return "registry.snapshot.load " + name; }, "engine");
-  registry_metrics().snapshot_loads.add();
-  DSML_FAIL("engine.registry.snapshot");
-  std::istringstream in(blob);
-  serial::Reader r(in);
-  r.expect_tag("registry-snapshot");
-  const std::uint64_t format = r.u64();
-  if (format != 1) {
-    throw IoError("ModelRegistry: unsupported snapshot format version " +
-                  std::to_string(format));
-  }
-  const std::uint64_t n_columns = r.u64();
-  std::vector<SchemaColumn> columns;
-  columns.reserve(n_columns);
-  for (std::uint64_t i = 0; i < n_columns; ++i) {
-    SchemaColumn c;
-    c.name = r.str();
-    const std::uint64_t kind = r.u64();
-    if (kind > static_cast<std::uint64_t>(data::ColumnKind::kCategorical)) {
-      throw IoError("ModelRegistry: snapshot column '" + c.name +
-                    "' has unknown kind " + std::to_string(kind));
-    }
-    c.kind = static_cast<data::ColumnKind>(kind);
-    c.ordered = r.boolean();
-    const std::uint64_t n_levels = r.u64();
-    c.levels.reserve(n_levels);
-    for (std::uint64_t j = 0; j < n_levels; ++j) c.levels.push_back(r.str());
-    columns.push_back(std::move(c));
-  }
-  r.expect_tag("model");
-  std::shared_ptr<const ml::Regressor> model = ml::load_model(in);
-  return register_model(name, std::move(model),
-                        Schema::from_columns(std::move(columns)),
-                        std::move(source));
 }
 
 std::shared_ptr<const ModelEntry> ModelRegistry::find(

@@ -63,21 +63,6 @@ class ModelRegistry {
   std::uint64_t load_file(const std::string& name, const std::string& path,
                           Schema schema);
 
-  /// Serializes `name`'s current entry — model weights *and* the schema it
-  /// was trained on — into one self-describing text blob, the payload a
-  /// fleet coordinator ships to workers. Throws StateError when the name is
-  /// not registered.
-  std::string serialize_entry(const std::string& name) const;
-
-  /// Registers a blob produced by serialize_entry under `name`, with the
-  /// full register_model validation and atomic-swap semantics: in-flight
-  /// readers keep the snapshot they already resolved, the next lookup sees
-  /// the new version. Throws IoError on a malformed blob. Returns the new
-  /// version.
-  std::uint64_t register_snapshot(const std::string& name,
-                                  const std::string& blob,
-                                  std::string source = "snapshot");
-
   /// Snapshot lookup; throws StateError when `name` is not registered.
   std::shared_ptr<const ModelEntry> get(const std::string& name) const;
 

@@ -58,33 +58,20 @@ bool parse_flag_cell(const std::string& raw, const SchemaColumn& column,
 Schema Schema::of(const data::Dataset& dataset) {
   Schema schema;
   schema.columns_.reserve(dataset.n_features());
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  fnv_mix(h, static_cast<std::uint64_t>(dataset.n_features()));
   for (std::size_t i = 0; i < dataset.n_features(); ++i) {
     const data::Column& col = dataset.feature(i);
-    schema.columns_.push_back(
+    const SchemaColumn& c = schema.columns_.emplace_back(
         SchemaColumn{col.name(), col.kind(), col.ordered(), col.levels()});
-  }
-  schema.refingerprint();
-  return schema;
-}
-
-Schema Schema::from_columns(std::vector<SchemaColumn> columns) {
-  Schema schema;
-  schema.columns_ = std::move(columns);
-  schema.refingerprint();
-  return schema;
-}
-
-void Schema::refingerprint() {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  fnv_mix(h, static_cast<std::uint64_t>(columns_.size()));
-  for (const SchemaColumn& c : columns_) {
     fnv_mix(h, c.name);
     fnv_mix(h, static_cast<std::uint64_t>(c.kind));
     fnv_mix(h, static_cast<std::uint64_t>(c.ordered ? 1 : 0));
     fnv_mix(h, static_cast<std::uint64_t>(c.levels.size()));
     for (const std::string& level : c.levels) fnv_mix(h, level);
   }
-  fingerprint_ = h;
+  schema.fingerprint_ = h;
+  return schema;
 }
 
 bool Schema::matches(const data::Dataset& dataset) const {

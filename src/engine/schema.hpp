@@ -41,10 +41,6 @@ class Schema {
   /// excluded: prediction-time datasets have none).
   static Schema of(const data::Dataset& dataset);
 
-  /// Rebuilds a schema from explicit column contracts — the deserialization
-  /// path for schemas shipped inside registry snapshots.
-  static Schema from_columns(std::vector<SchemaColumn> columns);
-
   const std::vector<SchemaColumn>& columns() const noexcept {
     return columns_;
   }
@@ -83,8 +79,6 @@ class Schema {
   data::Dataset dataset_from_csv(const csv::Table& table) const;
 
  private:
-  void refingerprint();
-
   std::vector<SchemaColumn> columns_;
   std::uint64_t fingerprint_ = 0;
 };

@@ -1,14 +1,11 @@
-// Fleet coordinator plumbing: worker endpoints, the deadlines every
-// coordinator-side connection runs under, and model-snapshot pushes. The
-// sharded sweep itself — ping, scatter, gather, evict, retry — is
-// fleet::FleetEvaluator (evaluator.hpp).
+// Fleet coordinator plumbing: worker endpoints and the deadlines every
+// coordinator-side connection runs under. The sharded sweep itself — ping,
+// scatter, gather, evict, retry — is fleet::FleetEvaluator (evaluator.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/error.hpp"
 #include "dse/sweep.hpp"
 
 namespace dsml::fleet {
@@ -32,25 +29,5 @@ struct CoordinatorOptions {
   std::size_t ring_replicas = 64;            ///< hash-ring virtual nodes
   dse::SweepOptions sweep;
 };
-
-/// One worker's outcome of a model push.
-struct PushOutcome {
-  std::string endpoint;
-  std::uint64_t version = 0;  ///< 0 when the push failed
-};
-
-struct PushResult {
-  std::vector<PushOutcome> outcomes;
-  std::vector<FailureRecord> failures;
-};
-
-/// Ships a registry snapshot (ModelRegistry::serialize_entry) to every
-/// worker; each applies it via the atomic registry swap. Per-worker
-/// failures are recorded, not fatal — the caller decides whether a partial
-/// rollout is acceptable.
-PushResult push_model_snapshot(const std::string& name,
-                               const std::string& snapshot,
-                               const std::vector<Endpoint>& workers,
-                               const CoordinatorOptions& options);
 
 }  // namespace dsml::fleet

@@ -6,11 +6,13 @@ namespace dsml::fleet {
 
 namespace {
 
-constexpr char kHexDigits[] = "0123456789abcdef";
-
 std::size_t number_as_size(const json::Value& v, const char* what) {
   const double d = v.as_number();
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
+  // Range first: casting a double outside [0, 2^64) to uint64_t is
+  // undefined behaviour, and the wire may carry any JSON number.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(d >= 0 && d < kTwoTo64) ||
+      d != static_cast<double>(static_cast<std::uint64_t>(d))) {
     throw IoError(std::string("fleet: field '") + what +
                   "' is not a non-negative integer");
   }
@@ -30,13 +32,6 @@ std::size_t number_as_size(const json::Value& v, const char* what) {
 }
 
 }  // namespace
-
-bool is_fleet_request(std::string_view line) {
-  // Transport-level sniff, deliberately cheap: every fleet encoder puts
-  // "fleet" first, and the serve protocol has no "fleet" key at all, so a
-  // substring test cannot misroute well-formed traffic either way.
-  return line.find("\"fleet\"") != std::string_view::npos;
-}
 
 /// Writer::str() newline-terminates; requests travel through
 /// LineClient::send_line, which frames the line itself.
@@ -75,23 +70,6 @@ std::string encode_sweep_request(const SweepRequest& request) {
   }
   w.end_array();
   w.end_object();
-  return as_request_line(w);
-}
-
-std::string encode_load_model(const std::string& name,
-                              std::string_view snapshot) {
-  json::Writer w(true);
-  w.begin_object();
-  w.field("fleet", "load_model");
-  w.field("name", name);
-  w.field("blob", encode_hex(snapshot));
-  w.end_object();
-  return as_request_line(w);
-}
-
-std::string encode_shutdown() {
-  json::Writer w(true);
-  w.begin_object().field("fleet", "shutdown").end_object();
   return as_request_line(w);
 }
 
@@ -149,42 +127,6 @@ ShardResponse parse_shard_response(const json::Value& response) {
       number_as_size(response.at("simpoints"), "simpoints");
   out.simulated_instructions =
       number_as_size(response.at("instructions"), "instructions");
-  return out;
-}
-
-std::string encode_hex(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<std::uint8_t>(c);
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0xF]);
-  }
-  return out;
-}
-
-std::string decode_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw IoError("fleet: hex payload has odd length " +
-                  std::to_string(hex.size()));
-  }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw IoError("fleet: non-hex digit in payload at offset " +
-                    std::to_string(i));
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
   return out;
 }
 

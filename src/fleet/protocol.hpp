@@ -12,16 +12,9 @@
 //   ← {"ok":true,"fleet":"shard","cycles":[...],"simpoints":4,
 //      "instructions":32768}
 //
-//   → {"fleet":"load_model","name":"gcc","blob":"<hex>"}
-//   ← {"ok":true,"fleet":"model_loaded","name":"gcc","version":2}
-//
-//   → {"fleet":"shutdown"}
-//   ← {"ok":true,"fleet":"bye"}
-//
-// Failures answer {"ok":false,"fleet":"error","error_type":<taxonomy>,
-// "error":<message>} so the coordinator can fold them straight into
-// FailureRecords. Registry snapshots are hex-encoded: the serial text format
-// contains newlines, which would split a JSON-lines frame.
+// Failures, an unknown operation included, answer {"ok":false,"fleet":
+// "error","error_type":<taxonomy>,"error":<message>} so the coordinator can
+// fold them straight into FailureRecords.
 //
 // Encode/parse for *both* directions lives here so the coordinator, the
 // worker, and the tests speak from one definition; a field renamed in only
@@ -53,15 +46,8 @@ struct ShardResponse {
   std::size_t simulated_instructions = 0;
 };
 
-/// Cheap transport-level test: does this line carry a fleet operation?
-/// (Non-fleet lines are delegated to the serve handler unparsed.)
-bool is_fleet_request(std::string_view line);
-
 std::string encode_ping();
 std::string encode_sweep_request(const SweepRequest& request);
-std::string encode_load_model(const std::string& name,
-                              std::string_view snapshot);
-std::string encode_shutdown();
 
 /// The "fleet" operation name of a parsed request ("" when absent).
 std::string fleet_op(const json::Value& request);
@@ -78,10 +64,5 @@ json::Value parse_response(std::string_view line, std::string_view expect_op);
 
 /// Decodes the payload of an already-validated {"fleet":"shard"} response.
 ShardResponse parse_shard_response(const json::Value& response);
-
-/// Lower-case hex codec for binary-unsafe payloads (registry snapshots).
-/// decode throws IoError on odd length or non-hex digits.
-std::string encode_hex(std::string_view bytes);
-std::string decode_hex(std::string_view hex);
 
 }  // namespace dsml::fleet

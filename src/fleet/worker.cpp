@@ -18,8 +18,6 @@ namespace {
 struct WorkerMetrics {
   metrics::Counter& pings = metrics::counter("fleet.worker.pings");
   metrics::Counter& shards = metrics::counter("fleet.worker.shards");
-  metrics::Counter& model_loads =
-      metrics::counter("fleet.worker.model_loads");
   metrics::Counter& errors = metrics::counter("fleet.worker.errors");
 };
 
@@ -50,14 +48,22 @@ WorkerSummary Worker::summary() const {
 }
 
 std::string Worker::handle(std::string_view line) {
-  if (!is_fleet_request(line)) return serve_handler_.handle(line);
-  return handle_fleet(line);
+  // Route on the parsed document, not on its text: a serve request may name
+  // a model "fleet". A line that does not parse goes to the serve handler,
+  // which answers it with the same error `dsml serve` would.
+  json::Value request;
+  try {
+    request = json::Value::parse(line);
+  } catch (const IoError&) {
+    return serve_handler_.handle(line);
+  }
+  if (!request.contains("fleet")) return serve_handler_.handle(line);
+  return handle_fleet(request);
 }
 
-std::string Worker::handle_fleet(std::string_view line) {
+std::string Worker::handle_fleet(const json::Value& request) {
   json::Writer w(true);
   try {
-    const json::Value request = json::Value::parse(line);
     const std::string op = fleet_op(request);
     if (op == "ping") {
       worker_metrics().pings.add();
@@ -94,20 +100,6 @@ std::string Worker::handle_fleet(std::string_view line) {
       w.field("instructions",
               static_cast<std::uint64_t>(shard.simulated_instructions));
       w.end_object();
-    } else if (op == "load_model") {
-      const std::string name = request.at("name").as_string();
-      const std::uint64_t version = registry_.register_snapshot(
-          name, decode_hex(request.at("blob").as_string()), "fleet");
-      worker_metrics().model_loads.add();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++summary_.model_loads;
-      }
-      w.begin_object().field("ok", true).field("fleet", "model_loaded");
-      w.field("name", name).field("version", version).end_object();
-    } else if (op == "shutdown") {
-      server_.request_stop();
-      w.begin_object().field("ok", true).field("fleet", "bye").end_object();
     } else {
       throw InvalidArgument("fleet: unknown operation '" + op + "'");
     }

@@ -1,20 +1,19 @@
 // Fleet worker: one process's serving + shard-simulation endpoint.
 //
 // A Worker wraps a net::Server whose handler multiplexes two protocols on
-// one port: lines carrying a "fleet" key (protocol.hpp) are answered here —
-// health pings, sweep shard assignments, model-snapshot loads, shutdown —
-// and every other line is delegated verbatim to the engine's ServeHandler,
-// so a worker answers ordinary predict traffic with byte-identical
-// responses to `dsml serve --listen`. Model updates arrive as serialized
-// registry snapshots and are applied through ModelRegistry::register_snapshot,
-// i.e. the same atomic swap local reloads use: in-flight requests finish
-// against the version they resolved.
+// one port: a line whose top-level JSON object has a "fleet" key
+// (protocol.hpp) is answered here — health pings and sweep shard
+// assignments — and every other line is delegated verbatim to the engine's
+// ServeHandler, so a worker answers ordinary predict traffic with
+// byte-identical responses to `dsml serve --listen`. Models enter a worker
+// only through the registry it was built with (`dsml worker --models`);
+// the fleet protocol cannot load or replace one.
 //
-// Failure containment mirrors the serve loop: a fleet request that throws is
-// answered with {"ok":false,...,"error_type":<taxonomy>} and the loop
-// survives — the only way a worker stops is request_stop(), a shutdown
-// request, or the process dying (which the coordinator observes as EOF and
-// the supervisor as a waitpid).
+// Failure containment mirrors the serve loop: a fleet request that throws,
+// or names any other operation, is answered with
+// {"ok":false,...,"error_type":<taxonomy>} and the loop survives — the only
+// way a worker stops is request_stop() or the process dying (which the
+// coordinator observes as EOF and the supervisor as a waitpid).
 //
 // Failpoints: `fleet.worker.sweep` fails a shard request (the coordinator
 // must retry elsewhere); `fleet.worker.stall` delays a shard answer by
@@ -25,6 +24,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "common/json.hpp"
 #include "engine/registry.hpp"
 #include "engine/serve.hpp"
 #include "net/server.hpp"
@@ -41,10 +41,9 @@ struct WorkerOptions {
 };
 
 struct WorkerSummary {
-  std::uint64_t pings = 0;        ///< health checks answered
-  std::uint64_t shards = 0;       ///< sweep shards simulated
-  std::uint64_t model_loads = 0;  ///< snapshots applied
-  std::uint64_t errors = 0;       ///< fleet requests answered ok:false
+  std::uint64_t pings = 0;   ///< health checks answered
+  std::uint64_t shards = 0;  ///< sweep shards simulated
+  std::uint64_t errors = 0;  ///< fleet requests answered ok:false
   net::ServerSummary server;
   engine::ServeSummary serve;
 };
@@ -60,7 +59,7 @@ class Worker {
 
   std::uint16_t port() const { return server_.port(); }
 
-  /// Runs the event loop until request_stop() or a shutdown request.
+  /// Runs the event loop until request_stop().
   void run();
 
   /// Stops run() from any thread or signal handler.
@@ -70,7 +69,7 @@ class Worker {
 
  private:
   std::string handle(std::string_view line);
-  std::string handle_fleet(std::string_view line);
+  std::string handle_fleet(const json::Value& request);
 
   engine::ModelRegistry& registry_;
   engine::ServeHandler serve_handler_;

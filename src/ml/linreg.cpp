@@ -454,8 +454,19 @@ LinearRegression LinearRegression::load(serial::Reader& reader) {
   f.adjusted_r2 = reader.f64();
   f.n = reader.u64();
   f.dof = reader.u64();
-  DSML_REQUIRE(f.columns.size() == f.beta.size(),
-               "LinearRegression::load: inconsistent fit");
+  // Predict gathers encoded columns and importance() indexes the names and
+  // scales by the same column numbers.
+  const std::size_t width = model.encoder_.n_outputs();
+  reader.require(model.feature_names_.size() == width &&
+                     model.train_x_sd_.size() == width,
+                 "LinearRegression::load: feature names or scales differ "
+                 "from the encoder width");
+  reader.require(f.columns.size() == f.beta.size(),
+                 "LinearRegression::load: inconsistent fit");
+  for (const std::size_t c : f.columns) {
+    reader.require(c < width,
+                   "LinearRegression::load: column outside the encoder");
+  }
   model.fit_ = std::move(f);
   return model;
 }

@@ -3,16 +3,20 @@
 //
 //   LR-E  Enter     — all predictors in one step;
 //   LR-F  Forwards  — start empty, repeatedly add the most significant
-//                     predictor while its partial-F p-value < entry_p;
+//                     predictor while its p-value < entry_p;
 //   LR-B  Backwards — start full, repeatedly remove the least significant
 //                     predictor while its p-value > removal_p;
 //   LR-S  Stepwise  — forward steps interleaved with backward removal
 //                     checks until the model is stable.
 //
+// A predictor's p-value is the two-sided t-test p-value of its coefficient
+// (stats::t_test_p_value), which equals the partial-F p-value of adding or
+// removing that one predictor (F = t^2 on one numerator degree of freedom).
+//
 // Fitting is least squares via Householder QR; inference statistics
-// (coefficient standard errors, t statistics, partial-F p-values,
-// standardized betas) come from the classical OLS theory in Montgomery,
-// Peck & Vining, the paper's reference [7].
+// (coefficient standard errors, t statistics, p-values, standardized betas)
+// come from the classical OLS theory in Montgomery, Peck & Vining, the
+// paper's reference [7].
 #pragma once
 
 #include <optional>

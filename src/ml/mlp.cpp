@@ -419,27 +419,36 @@ Mlp Mlp::load(serial::Reader& reader) {
     net.hidden_sizes_.push_back(reader.u64());
   }
   const std::uint64_t n_inputs_flags = reader.u64();
-  net.input_enabled_.resize(n_inputs_flags);
+  reader.require(n_inputs_flags == net.n_inputs_,
+                 "Mlp::load: input flag count differs from the input width");
   for (std::uint64_t i = 0; i < n_inputs_flags; ++i) {
-    net.input_enabled_[i] = reader.boolean();
+    net.input_enabled_.push_back(reader.boolean());
   }
+  // One sigmoid layer per hidden width, then the linear output unit; each
+  // layer's fan-in is the previous layer's width.
   const std::uint64_t n_layers = reader.u64();
+  reader.require(n_layers == net.hidden_sizes_.size() + 1,
+                 "Mlp::load: layer count differs from the hidden sizes");
   for (std::uint64_t i = 0; i < n_layers; ++i) {
     Layer layer;
     layer.w = load_matrix(reader);
     layer.w_mask = load_matrix(reader);
     layer.b = reader.f64_vector();
     layer.output = reader.boolean();
-    DSML_REQUIRE(layer.w.same_shape(layer.w_mask) &&
-                     layer.b.size() == layer.w.rows(),
-                 "Mlp::load: inconsistent layer shapes");
+    reader.require(layer.w.same_shape(layer.w_mask) &&
+                       layer.b.size() == layer.w.rows(),
+                   "Mlp::load: inconsistent layer shapes");
+    const bool last = i + 1 == n_layers;
+    reader.require(layer.w.cols() == (i == 0 ? net.n_inputs_
+                                             : net.layers_.back().w.rows()),
+                   "Mlp::load: layer fan-in differs from the previous width");
+    reader.require(layer.output == last &&
+                       layer.w.rows() == (last ? 1 : net.hidden_sizes_[i]),
+                   "Mlp::load: layer width differs from the topology");
     layer.w_vel = linalg::Matrix(layer.w.rows(), layer.w.cols());
     layer.b_vel.assign(layer.b.size(), 0.0);
     net.layers_.push_back(std::move(layer));
   }
-  DSML_REQUIRE(!net.layers_.empty() &&
-                   net.layers_.front().w.cols() == net.n_inputs_,
-               "Mlp::load: input width mismatch");
   return net;
 }
 

@@ -92,7 +92,8 @@ class Mlp {
   /// (biases exempt).
   void prune_smallest_weights(double fraction);
 
-  /// Persist weights/masks/topology; momentum buffers reset on load.
+  /// Persist weights/masks/topology; momentum buffers reset on load. load
+  /// throws IoError when the layers do not form the stored topology.
   void save(serial::Writer& writer) const;
   static Mlp load(serial::Reader& reader);
 

@@ -478,7 +478,10 @@ void NeuralRegressor::save(serial::Writer& writer) const {
 NeuralRegressor NeuralRegressor::load(serial::Reader& reader) {
   reader.expect_tag("neural");
   Options opt;
-  opt.method = static_cast<NnMethod>(reader.u64());
+  const std::uint64_t method = reader.u64();
+  reader.require(method <= static_cast<std::uint64_t>(NnMethod::kSingle),
+                 "NeuralRegressor::load: unknown method");
+  opt.method = static_cast<NnMethod>(method);
   opt.seed = reader.u64();
   opt.max_epochs = reader.u64();
   opt.momentum = reader.f64();
@@ -486,11 +489,21 @@ NeuralRegressor NeuralRegressor::load(serial::Reader& reader) {
   NeuralRegressor model(opt);
   model.encoder_ = data::Encoder::load(reader);
   model.net_ = Mlp::load(reader);
+  const std::size_t width = model.net_->n_inputs();
+  reader.require(model.encoder_.n_outputs() == width,
+                 "NeuralRegressor::load: encoder width differs from the "
+                 "network's inputs");
   const std::uint64_t rows = reader.u64();
   const std::uint64_t cols = reader.u64();
+  reader.require(cols == width,
+                 "NeuralRegressor::load: training sample width differs from "
+                 "the network's inputs");
   model.train_x_ = linalg::Matrix(rows, cols);
   for (double& v : model.train_x_.data()) v = reader.f64();
   model.train_y_scaled_ = reader.f64_vector();
+  reader.require(model.train_y_scaled_.size() == rows,
+                 "NeuralRegressor::load: training targets differ from the "
+                 "sample's rows");
   return model;
 }
 

@@ -21,7 +21,8 @@ void save_model(const Regressor& model, std::ostream& out);
 void save_model(const Regressor& model, const std::string& path);
 
 /// Restore a model saved with save_model. Throws IoError on malformed or
-/// version-incompatible input.
+/// version-incompatible input, and on a stream that parses but describes an
+/// inconsistent model (layer widths, column indices, sample shapes).
 std::unique_ptr<Regressor> load_model(std::istream& in);
 std::unique_ptr<Regressor> load_model(const std::string& path);
 

@@ -1,8 +1,8 @@
 // Fleet-layer tests: consistent-hash shard placement, the coordinator/worker
 // wire protocol, shard simulation + merge coverage checks, in-process
 // worker/coordinator scatter-gather (the merged table must be bit-identical
-// to a single-process sweep, clean AND with workers dying mid-sweep), model
-// snapshot shipping through the atomic registry swap, and the supervisor's
+// to a single-process sweep, clean AND with workers dying mid-sweep), the
+// worker's routing of fleet vs serve lines, and the supervisor's
 // respawn/evict state machine. Carries the fault label (fleet.* and net.*
 // failpoints) and the tsan label (server threads + coordinator + pool).
 #include <gtest/gtest.h>
@@ -115,9 +115,6 @@ class Fleet {
     return out;
   }
 
-  Worker& worker(std::size_t i) { return *workers_[i]; }
-  engine::ModelRegistry& registry(std::size_t i) { return *registries_[i]; }
-
  private:
   std::vector<std::unique_ptr<engine::ModelRegistry>> registries_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -216,9 +213,7 @@ TEST(Protocol, SweepRequestRoundTrips) {
   request.options = tiny_sweep();
   request.options.trace_seed = 99;
   request.indices = {0, 7, 4607};
-  const std::string line = encode_sweep_request(request);
-  EXPECT_TRUE(is_fleet_request(line));
-  const json::Value doc = json::Value::parse(line);
+  const json::Value doc = json::Value::parse(encode_sweep_request(request));
   EXPECT_EQ(fleet_op(doc), "sweep");
   const SweepRequest back = parse_sweep_request(doc);
   EXPECT_EQ(back.app, "mcf");
@@ -229,20 +224,30 @@ TEST(Protocol, SweepRequestRoundTrips) {
   EXPECT_EQ(back.options.trace_seed, 99u);
 }
 
-TEST(Protocol, HexCodecRoundTripsAndRejectsMalformedInput) {
-  std::string bytes;
-  for (int i = 0; i < 256; ++i) bytes.push_back(static_cast<char>(i));
-  EXPECT_EQ(decode_hex(encode_hex(bytes)), bytes);
-  EXPECT_EQ(encode_hex(""), "");
-  EXPECT_THROW(decode_hex("abc"), IoError);   // odd length
-  EXPECT_THROW(decode_hex("zz"), IoError);    // non-hex digit
+TEST(Protocol, SweepRequestRejectsIndicesThatAreNotSizes) {
+  // Each value is range-checked before the cast to an integer: 1e300 and
+  // 2^64 do not fit, -1 is negative, 0.5 is fractional.
+  for (const char* index : {"1e300", "-1", "0.5", "18446744073709551616"}) {
+    const std::string line =
+        R"({"fleet":"sweep","app":"mcf","options":{)"
+        R"("full_trace_instructions":20000,"interval_instructions":2000,)"
+        R"("max_clusters":2,"trace_seed":0,"use_cache":false},"indices":[)" +
+        std::string(index) + "]}";
+    EXPECT_THROW(parse_sweep_request(json::Value::parse(line)), IoError)
+        << index;
+  }
 }
 
 TEST(Protocol, NonFleetLinesAreNotFleetRequests) {
-  EXPECT_TRUE(is_fleet_request(encode_ping()));
-  EXPECT_TRUE(is_fleet_request(encode_shutdown()));
-  EXPECT_FALSE(is_fleet_request(R"({"model":"gcc","rows":[{"a":1}]})"));
-  EXPECT_FALSE(is_fleet_request(""));
+  // A worker routes on the parsed document's top-level "fleet" key, so the
+  // word "fleet" anywhere else in a serve request does not make it one.
+  EXPECT_EQ(fleet_op(json::Value::parse(encode_ping())), "ping");
+  for (const char* line : {R"({"model":"gcc","rows":[{"a":1}]})",
+                           R"({"model":"fleet","rows":[{"fleet":1}]})"}) {
+    const json::Value doc = json::Value::parse(line);
+    EXPECT_FALSE(doc.contains("fleet")) << line;
+    EXPECT_EQ(fleet_op(doc), "") << line;
+  }
 }
 
 TEST(Protocol, ErrorResponsesRethrowAsTaxonomyTypes) {
@@ -366,8 +371,8 @@ TEST(FleetWorker, AnswersPingSweepErrorAndShutdown) {
   EXPECT_THROW(parse_response(client.request(R"({"fleet":"bogus"})"), "any"),
                InvalidArgument);
 
-  parse_response(client.request(encode_shutdown()), "bye");
-  loop.join();  // the shutdown request stopped run()
+  worker.request_stop();
+  loop.join();
 
   const WorkerSummary summary = worker.summary();
   EXPECT_EQ(summary.pings, 1u);
@@ -391,55 +396,53 @@ TEST(FleetWorker, DelegatesServeTrafficOnTheSamePort) {
   EXPECT_EQ(worker.summary().serve.rows, 1u);
 }
 
-// --------------------------------------------------------------- snapshots --
-
-TEST(Snapshots, RoundTripThroughASecondRegistry) {
+TEST(FleetWorker, ServesAModelNamedFleet) {
   const data::Dataset train = make_train(24);
-  engine::ModelRegistry source;
-  source.register_model("toy", fit_toy(train), engine::Schema::of(train));
-  const std::string blob = source.serialize_entry("toy");
-
-  engine::ModelRegistry sink;
-  EXPECT_EQ(sink.register_snapshot("toy", blob), 1u);
-  EXPECT_EQ(sink.register_snapshot("toy", blob), 2u);  // swap bumps version
-
-  const auto a = source.get("toy");
-  const auto b = sink.get("toy");
-  EXPECT_EQ(a->schema.fingerprint(), b->schema.fingerprint());
-  const std::vector<double> want = a->model->predict(train);
-  const std::vector<double> got = b->model->predict(train);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]);
-}
-
-TEST(Snapshots, MalformedBlobsAreRejected) {
   engine::ModelRegistry registry;
-  EXPECT_THROW(registry.register_snapshot("x", "not a snapshot"), IoError);
-  EXPECT_THROW(registry.serialize_entry("missing"), StateError);
+  registry.register_model("fleet", fit_toy(train), engine::Schema::of(train));
+  Worker worker(registry, loopback_worker());
+  WorkerRunner runner(worker);
+  net::LineClient client("127.0.0.1", worker.port());
+  const std::string request =
+      R"({"model":"fleet","rows":[{"size_kb":8,"latency":2,"wide":true,)"
+      R"("predictor":"weak"}]})";
+  engine::ServeHandler direct(registry);
+  const std::string want = direct.handle(request);
+  EXPECT_NE(want.find("\"predictions\""), std::string::npos) << want;
+  // recv_line strips the newline that ServeHandler::handle ends with.
+  EXPECT_EQ(client.request(request) + "\n", want);
+  // A line that is not JSON is the serve handler's to answer, too.
+  EXPECT_EQ(client.request("{\"fleet\"") + "\n",
+            direct.handle("{\"fleet\""));
+  const WorkerSummary summary = worker.summary();
+  EXPECT_EQ(summary.serve.requests, 2u);
+  EXPECT_EQ(summary.errors, 0u);
 }
 
-TEST(Snapshots, PushUpdatesEveryLiveWorker) {
+TEST(FleetWorker, RejectsModelLoadsAndShutdownAndKeepsServing) {
   const data::Dataset train = make_train(24);
-  engine::ModelRegistry source;
-  source.register_model("toy", fit_toy(train), engine::Schema::of(train));
-  const std::string blob = source.serialize_entry("toy");
+  engine::ModelRegistry registry;
+  registry.register_model("toy", fit_toy(train), engine::Schema::of(train));
+  Worker worker(registry, loopback_worker());
+  WorkerRunner runner(worker);
+  net::LineClient client("127.0.0.1", worker.port());
 
-  Fleet fleet(2);
-  const PushResult push =
-      push_model_snapshot("toy", blob, fleet.endpoints(), fast_coordinator());
-  EXPECT_TRUE(push.failures.empty());
-  ASSERT_EQ(push.outcomes.size(), 2u);
-  for (const PushOutcome& outcome : push.outcomes) {
-    EXPECT_EQ(outcome.version, 1u);
+  for (const char* line :
+       {R"({"fleet":"load_model","name":"toy","blob":"00"})",
+        R"({"fleet":"shutdown"})"}) {
+    EXPECT_THROW(parse_response(client.request(line), "any"),
+                 InvalidArgument)
+        << line;
   }
-  // The model now answers pings and predict traffic on both workers.
-  for (const Endpoint& endpoint : fleet.endpoints()) {
-    net::LineClient client(endpoint.host, endpoint.port);
-    const json::Value pong =
-        parse_response(client.request(encode_ping()), "pong");
-    ASSERT_EQ(pong.at("models").items().size(), 1u);
-    EXPECT_EQ(pong.at("models").items()[0].as_string(), "toy");
-  }
+  // Still up, on the same connection, with the model it started with.
+  const json::Value pong =
+      parse_response(client.request(encode_ping()), "pong");
+  ASSERT_EQ(pong.at("models").items().size(), 1u);
+  EXPECT_EQ(pong.at("models").items()[0].as_string(), "toy");
+  EXPECT_EQ(registry.get("toy")->version, 1u);
+  const WorkerSummary summary = worker.summary();
+  EXPECT_EQ(summary.errors, 2u);
+  EXPECT_EQ(summary.pings, 1u);
 }
 
 // ------------------------------------------------------------- coordinator --

@@ -534,8 +534,8 @@ int cmd_serve(const Options& opt, std::istream& in, std::ostream& out,
 }
 
 /// `dsml worker --listen P | --listen-fd N`: one fleet worker process —
-/// fleet control (ping / sweep shards / model snapshots / shutdown) and the
-/// ordinary serve protocol multiplexed on one port (docs/FLEET.md).
+/// fleet control (ping / sweep shards) and the ordinary serve protocol, for
+/// the models --models names, multiplexed on one port (docs/FLEET.md).
 /// --listen-fd adopts an inherited listening socket: the supervisor binds
 /// it so the port survives this process crashing.
 int cmd_worker(const Options& opt, std::ostream& err) {
@@ -570,10 +570,9 @@ int cmd_worker(const Options& opt, std::ostream& err) {
   const fleet::WorkerSummary summary = worker.summary();
   line.str("");
   line << "worker done: " << summary.pings << " ping(s), " << summary.shards
-       << " shard(s), " << summary.model_loads << " model load(s), "
-       << summary.errors << " error(s); " << summary.server.closed
-       << " connection(s) closed, " << summary.server.idle_closed
-       << " idle-closed\n";
+       << " shard(s), " << summary.errors << " error(s); "
+       << summary.server.closed << " connection(s) closed, "
+       << summary.server.idle_closed << " idle-closed\n";
   err << line.str();
   err.flush();
   return 0;
@@ -939,9 +938,8 @@ std::string usage() {
       "  worker  --listen P | --listen-fd N  [--bind A] [--models N=F,...]\n"
       "          [--max-conns N] [--idle-timeout-ms N] [--stall-ms N]\n"
       "                                    fleet worker: serve protocol +\n"
-      "                                    fleet control (ping, sweep shards,\n"
-      "                                    model snapshots) on one port\n"
-      "                                    (see docs/FLEET.md)\n"
+      "                                    fleet control (ping, sweep shards)\n"
+      "                                    on one port (see docs/FLEET.md)\n"
       "  dse     --app A --sampler random|adaptive [--budget N | \n"
       "          --sample-rate R] [--rounds K] [--objective cycles|pareto]\n"
       "          [--models M1,M2] [--seed S] [--truth] [--workers H:P,...]\n"
